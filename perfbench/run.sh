@@ -17,7 +17,7 @@ if [[ ! -f perfbench/go.mod ]]; then
 fi
 out="$root/.bench_build"
 mkdir -p "$out/gocache" "$out/gopath" "$out/tmp" "$out/config" "$out/bin"
-export GOCACHE="$out/gocache" GOPATH="$out/gopath" GOTMPDIR="$out/tmp" XDG_CONFIG_HOME="$out/config"
+export GOCACHE="$out/gocache" GOPATH="$out/gopath" GOTMPDIR="$out/tmp" TMPDIR="$out/tmp" XDG_CONFIG_HOME="$out/config"
 export GOFLAGS=-mod=readonly GOWORK=off GOTOOLCHAIN=local GOPROXY=off GOENV=off
 
 # The program under test is built from this checkout, exactly as a user

@@ -19,8 +19,8 @@ const (
 	// cost of a full-record probe follows the catalog's token skew. At this
 	// seed the cluster and a single-node index disagree, depending on the
 	// pebble order and the plan, on whether "hodohu bire" also matches
-	// record 573 (README.md, "Known misses"); the run's seed draws the
-	// queries, the inserts and the sampled checks.
+	// record 573 (README.md, "Known misses and defects"); the run's seed
+	// draws the queries, the inserts and the sampled checks.
 	clusterCatalogSeed = 3
 	clusterWorkers     = 3
 	clusterReplicas    = 2
@@ -78,8 +78,8 @@ func runCluster(r *runner) error {
 		d.coordAt = addrs[0]
 		t0 := time.Now()
 		// Workers first, then the coordinator, in the order the README's
-		// cluster quick-start gives (see README.md, "Known defects", for
-		// what the reverse order can do).
+		// cluster quick-start gives (see "Known misses and defects" in
+		// README.md for what the reverse order can do).
 		for w := 0; w < clusterWorkers; w++ {
 			addr := addrs[1+w]
 			name := fmt.Sprintf("worker-%d-%d", n, w)
