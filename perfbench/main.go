@@ -116,9 +116,10 @@ type runner struct {
 	meta  map[string]any
 
 	attempted, failed int64
-	// misses counts answers that were sound but incomplete: a true match
-	// the program did not return (see README.md, "Correctness").
-	misses int64
+	// checked counts the sampled answers compared with an oracle, and
+	// misses those that were sound but incomplete: a true match the
+	// program did not return (see README.md, "Correctness").
+	checked, misses int64
 }
 
 func (r *runner) exe(name string) string { return filepath.Join(r.bin, name) }
@@ -127,6 +128,14 @@ func (r *runner) exe(name string) string { return filepath.Join(r.bin, name) }
 func (r *runner) check(n, bad int) {
 	r.attempted += int64(n)
 	r.failed += int64(bad)
+}
+
+// successRate is the share of operations that did not fail times the
+// share of checked answers that were complete. Misses are counted over the
+// checked answers alone: the unchecked operations say nothing about
+// completeness.
+func (r *runner) successRate() float64 {
+	return (1 - float64(r.failed)/float64(max(r.attempted, 1))) * (1 - float64(r.misses)/float64(max(r.checked, 1)))
 }
 
 var workloads = map[string]func(*runner) error{

@@ -5,6 +5,12 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"github.com/aujoin/aujoin"
+	"github.com/aujoin/aujoin/internal/core"
+	"github.com/aujoin/aujoin/internal/join"
+	"github.com/aujoin/aujoin/internal/sim"
+	"github.com/aujoin/aujoin/internal/strutil"
 )
 
 // The pair comparison catches a planted missing pair, a planted extra pair
@@ -26,6 +32,40 @@ func TestComparePairsCatchesPlantedMismatches(t *testing.T) {
 	only := map[pairKey]float64{{1, 2}: 0.9, {5, 6}: 0.85}
 	if d := comparePairs(only, want, 1e-4); d.Missing != 1 || d.unsound() {
 		t.Fatalf("missing pair only: %+v", d)
+	}
+}
+
+// The exact check of a sampled /query answer catches a miss that the
+// reference index shares with the program, and an unsound answer.
+func TestJudgeBruteForcesSharedMisses(t *testing.T) {
+	catalog := []string{"apple pie", "apple pie", "banana split", "cherry tart"}
+	calc := join.NewJoiner(sim.NewContext(nil, nil)).Calculator()
+	ref := refIndex{calc: calc, live: map[int]*core.PreparedRecord{},
+		ix: aujoin.New().IndexWith(catalog, aujoin.JoinOptions{Theta: theta, Tau: 2, Filter: aujoin.AUFilterDP}, aujoin.IndexOptions{Shards: 1})}
+	for id, rec := range catalog {
+		ref.live[id] = calc.Prepare(strutil.Tokenize(rec))
+	}
+	// Record 1 stays live but the reference index loses it, the way a
+	// filter defect shared by the program and the reference would.
+	ref.ix.RemoveBatch([]int{1})
+	q := "apple pie"
+	got := ref.ix.QueryTopK(q, topK)
+	if len(got) != 1 || got[0].Record != 0 {
+		t.Fatalf("reference index answer %v, want record 0 alone", got)
+	}
+	if unsound, incomplete := ref.judge(q, got, false); unsound || incomplete {
+		t.Fatalf("an answer equal to the reference index's passes without the exact check: unsound %v, incomplete %v", unsound, incomplete)
+	}
+	if unsound, incomplete := ref.judge(q, got, true); unsound || !incomplete {
+		t.Fatalf("exact check of an answer missing live record 1: unsound %v, incomplete %v", unsound, incomplete)
+	}
+	both := []aujoin.QueryMatch{{Record: 0, Similarity: 1}, {Record: 1, Similarity: 1}}
+	if unsound, incomplete := ref.judge(q, both, true); unsound || incomplete {
+		t.Fatalf("exact check of the complete answer: unsound %v, incomplete %v", unsound, incomplete)
+	}
+	extra := append(both, aujoin.QueryMatch{Record: 2, Similarity: 1})
+	if unsound, _ := ref.judge(q, extra, false); !unsound {
+		t.Fatal("an answer holding a non-matching record is not unsound")
 	}
 }
 

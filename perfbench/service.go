@@ -20,6 +20,8 @@ import (
 
 	"github.com/aujoin/aujoin"
 	"github.com/aujoin/aujoin/internal/cluster"
+	"github.com/aujoin/aujoin/internal/core"
+	"github.com/aujoin/aujoin/internal/strutil"
 )
 
 // conns is the load generator's read connection count: one per CPU. The
@@ -196,57 +198,64 @@ func (s *service) ladder(rungs []float64, est, limitMs float64, step time.Durati
 
 // refIndex is the oracle for sampled answers: an in-process index over
 // the same catalog with the acknowledged write log replayed in order, plus
-// the text of every live record by stable ID.
+// every live record by stable ID, prepared for exact similarity.
 type refIndex struct {
 	ix   *aujoin.Index
-	j    *aujoin.Joiner
-	text map[int]string
+	calc *core.Calculator
+	live map[int]*core.PreparedRecord
 }
 
 // reference builds the oracle index from the catalog and the write log.
-func (s *service) reference(j *aujoin.Joiner, catalog []string, tau int) refIndex {
-	ref := refIndex{j: j, text: map[int]string{},
+func (s *service) reference(j *aujoin.Joiner, calc *core.Calculator, catalog []string, tau int) refIndex {
+	ref := refIndex{calc: calc, live: map[int]*core.PreparedRecord{},
 		ix: j.IndexWith(catalog, aujoin.JoinOptions{Theta: theta, Tau: tau, Filter: aujoin.AUFilterDP}, aujoin.IndexOptions{Shards: 1})}
 	for id, rec := range catalog {
-		ref.text[id] = rec
+		ref.live[id] = calc.Prepare(strutil.Tokenize(rec))
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, o := range s.log {
 		if o.write != nil {
 			for k, id := range ref.ix.Insert(o.write) {
-				ref.text[id] = o.write[k]
+				ref.live[id] = calc.Prepare(strutil.Tokenize(o.write[k]))
 			}
 		} else {
 			ref.ix.RemoveBatch(o.remove)
 			for _, id := range o.remove {
-				delete(ref.text, id)
+				delete(ref.live, id)
 			}
 		}
 	}
 	return ref
 }
 
-// judge compares one answer with the oracle. An answer equal to the
-// reference index's passes. Otherwise it is unsound when it returns a
-// record that is not a live match of q at the similarity given, and
-// incomplete when its similarities differ from the exact top-k computed by
-// brute force over every live record — the reference index runs the same
-// filter as the program and can miss a match too, so only brute force
-// decides.
-func (ref refIndex) judge(q string, got []aujoin.QueryMatch) (unsound, incomplete bool) {
-	if sameTopK(got, ref.ix.QueryTopK(q, topK)) {
+// judge compares one answer with the oracle. With brute unset, an answer
+// equal to the reference index's passes: the reference index runs the
+// program's own filter and top-k pruning, so it only picks the answers
+// that need the exact check. The exact check, which brute forces, is this:
+// an answer is unsound when it returns a record that is not a live match
+// of q at the similarity given, and incomplete when its similarities
+// differ from the exact top-k over every live record.
+func (ref refIndex) judge(q string, got []aujoin.QueryMatch, brute bool) (unsound, incomplete bool) {
+	if !brute && sameTopK(got, ref.ix.QueryTopK(q, topK)) {
 		return false, false
 	}
+	pq := ref.calc.Prepare(strutil.Tokenize(q))
+	sc := core.NewScratch()
 	for _, m := range got {
-		t, ok := ref.text[m.Record]
-		if !ok || m.Similarity < theta || math.Abs(m.Similarity-ref.j.Similarity(q, t)) > 1e-9 {
+		pt, ok := ref.live[m.Record]
+		if !ok || m.Similarity < theta || math.Abs(m.Similarity-ref.calc.SimilarityPrepared(pq, pt, sc)) > 1e-9 {
 			return true, false
 		}
 	}
 	var exact []float64
-	for _, t := range ref.text {
-		if sim := ref.j.Similarity(q, t); sim >= theta {
+	for _, pt := range ref.live {
+		// The size bound dominates the similarity, so the pairs it skips
+		// cannot reach θ.
+		if core.SizeRatioUpper(pq, pt) < theta-core.BoundSlack {
+			continue
+		}
+		if sim := ref.calc.SimilarityPrepared(pq, pt, sc); sim >= theta {
 			exact = append(exact, sim)
 		}
 	}
@@ -263,35 +272,54 @@ func (ref refIndex) judge(q string, got []aujoin.QueryMatch) (unsound, incomplet
 	return false, false
 }
 
-// checkAnswers compares n sampled /query answers with the oracle. Errors
-// and unsound answers count as failed operations; incomplete answers count
-// as misses.
-func (s *service) checkAnswers(ref refIndex, n int, salt int64) error {
+// sampleQueries draws n queries of the read stream for checkAnswers.
+func (s *service) sampleQueries(n int, salt int64) []string {
 	rng := rand.New(rand.NewSource(s.r.seed + salt))
-	bad, missed := 0, 0
-	for i := 0; i < n; i++ {
-		q := s.queries[rng.Intn(len(s.queries))]
-		got, _, err := queryTopK(s.r.ctx, s.clients[0], s.base, q, "", nil)
-		if s.r.ctx.Err() != nil {
-			return errCancelled
-		}
-		unsound, incomplete := false, false
-		if err == nil {
-			unsound, incomplete = ref.judge(q, got)
-		}
-		switch {
-		case err != nil || unsound:
-			bad++
-		case incomplete:
-			missed++
-		default:
-			continue
-		}
-		fmt.Fprintf(os.Stderr, "perfbench: %s/query?q=%q: got %v (err %v), reference index %v\n",
-			s.base, q, got, err, ref.ix.QueryTopK(q, topK))
+	out := make([]string, n)
+	for i := range out {
+		out[i] = s.queries[rng.Intn(len(s.queries))]
 	}
-	s.r.check(n, bad)
-	s.r.misses += int64(missed)
+	return out
+}
+
+// checkAnswers fetches the /query answer to every query of qs, over the
+// read connections in parallel, and compares it with the oracle; the
+// first brute of them always get the exact check. Errors and unsound
+// answers count as failed operations; incomplete answers count as misses.
+func (s *service) checkAnswers(ref refIndex, qs []string, brute int) error {
+	var bad, missed atomic.Int64
+	var wg sync.WaitGroup
+	for c, client := range s.clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := c; i < len(qs) && s.r.ctx.Err() == nil; i += len(s.clients) {
+				q := qs[i]
+				got, _, err := queryTopK(s.r.ctx, client, s.base, q, "", nil)
+				unsound, incomplete := false, false
+				if err == nil {
+					unsound, incomplete = ref.judge(q, got, i < brute)
+				}
+				switch {
+				case err != nil || unsound:
+					bad.Add(1)
+				case incomplete:
+					missed.Add(1)
+				default:
+					continue
+				}
+				fmt.Fprintf(os.Stderr, "perfbench: %s/query?q=%q: got %v (err %v), reference index %v\n",
+					s.base, q, got, err, ref.ix.QueryTopK(q, topK))
+			}
+		}()
+	}
+	wg.Wait()
+	if s.r.ctx.Err() != nil {
+		return errCancelled
+	}
+	s.r.check(len(qs), int(bad.Load()))
+	s.r.checked += int64(len(qs))
+	s.r.misses += missed.Load()
 	return nil
 }
 

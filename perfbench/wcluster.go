@@ -17,19 +17,17 @@ const (
 	clusterCatalog = 1000
 	// clusterCatalogSeed fixes the catalog across runs, as for serve: the
 	// cost of a full-record probe follows the catalog's token skew. At this
-	// seed the cluster and a single-node index disagree, depending on the
-	// pebble order and the plan, on whether "hodohu bire" also matches
-	// record 573 (README.md, "Known misses and defects"); the run's seed
-	// draws the queries, the inserts and the sampled checks.
+	// seed the program misses a match of "hodohu bire" and of a few other
+	// probe records (README.md, "Known misses and defects"); the run's seed
+	// draws the order of the queries and the inserts.
 	clusterCatalogSeed = 3
 	clusterWorkers     = 3
 	clusterReplicas    = 2
 	clusterTau         = 2
-	clusterSetups      = 5  // bootstraps per run; the median is reported
-	clusterReadRate    = 20 // nominal /query rate, per second
-	clusterWriteRate   = 8  // coordinator-routed /insert calls per second
-	clusterLimitMs     = 50 // p90 latency limit of a ladder step
-	clusterChecks      = 100
+	clusterSetups      = 5   // bootstraps per run; the median is reported
+	clusterReadRate    = 20  // nominal /query rate, per second
+	clusterWriteRate   = 8   // coordinator-routed /insert calls per second
+	clusterLimitMs     = 50  // p90 latency limit of a ladder step
 	clusterDirect      = 200 // direct-to-worker queries of a traced run
 )
 
@@ -168,8 +166,16 @@ func runCluster(r *runner) error {
 	if err != nil {
 		return err
 	}
-	ref := s.reference(j, catalog, clusterTau)
-	if err := s.checkAnswers(ref, clusterChecks, 1); err != nil {
+	ij, err := ds.internalJoiner()
+	if err != nil {
+		return err
+	}
+	ref := s.reference(j, ij.Calculator(), catalog, clusterTau)
+	// Every probe record is checked once, by brute force: a full-record
+	// probe costs the reference index about as much as brute force over
+	// this catalog, and checking all of them, not a sample, keeps the
+	// handful of records the program misses in every run's count.
+	if err := s.checkAnswers(ref, queries, len(queries)); err != nil {
 		return err
 	}
 
@@ -178,14 +184,14 @@ func runCluster(r *runner) error {
 	r.meta["latency_ms_p90"] = percentile(reads.LatMs, 90)
 	r.meta["write_ms_p50"] = median(writes.LatMs)
 	r.e2e["rss_mb"] = percentile(rss, 90)
-	r.e2e["success_rate"] = 1 - float64(r.failed+r.misses)/float64(max(r.attempted, 1))
+	r.e2e["success_rate"] = r.successRate()
 	r.meta["flush_policy"] = "none: cluster workers keep no durable state (aujoind -join takes no -data-dir)"
 	r.meta["ladder"] = map[string]any{"rungs": rateLadder, "p90_limit_ms": clusterLimitMs}
 	r.meta["cluster"] = map[string]any{
 		"catalog": clusterCatalog, "workers": clusterWorkers, "replicas": clusterReplicas, "theta": theta, "tau": clusterTau, "filter": filter,
 		"nominal_read_rate": clusterReadRate, "write_rate": clusterWriteRate, "connections": conns(),
 		"read_mix": "full-record probes, half near duplicates of catalog records, half fresh; k=10",
-		"reads":    len(reads.LatMs), "query_ms_p99": percentile(reads.LatMs, 99), "p90_samples_beyond": beyond(len(reads.LatMs), 90), "incomplete_answers": r.misses,
+		"reads":    len(reads.LatMs), "query_ms_p99": percentile(reads.LatMs, 99), "p90_samples_beyond": beyond(len(reads.LatMs), 90), "checked_answers": r.checked, "incomplete_answers": r.misses,
 		"inserts": len(writes.LatMs), "insert_ms_p99": percentile(writes.LatMs, tailPercentile(len(writes.LatMs))),
 		"insert_tail_percentile": tailPercentile(len(writes.LatMs)),
 	}

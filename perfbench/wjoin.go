@@ -1,8 +1,11 @@
 package main
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -19,40 +22,33 @@ const (
 	// cluster: records differ so much in verification cost that the
 	// median join time of per-seed datasets moved by ±15% from seed to
 	// seed. It is the datagen seed of the AU-Filter reproduction in
-	// README.md. The run's seed shuffles the records within the read and
-	// the write pools, so it draws which records share a batch.
-	joinDataSeed   = 1
-	joinTau        = 3
-	joinT          = 300 // right-collection records every join reads
-	joinReadBatch  = 40  // left records per read join
-	joinReadPool   = 320 // left records the read batches cycle through
-	joinWriteBatch = 4   // new left records per write join
-	joinWritePool  = 80  // left records the write batches cycle through
-	joinSetups     = 9   // set-up runs per run; the median is reported
-	joinMinReads   = 100 // enough reads that 10 lie beyond p90
+	// README.md. The run's seed shuffles the left records, so it draws
+	// which records share a batch.
+	joinDataSeed = 1
+	joinTau      = 3
+	joinT        = 300 // right-collection records every join reads
+	joinBatch    = 40  // left records per join
+	joinPool     = 320 // left records the batches cycle through
+	joinSetups   = 31  // set-up runs per run; the median is reported
+	joinMinJoins = 100 // enough joins that 10 lie beyond p90
 )
 
-// runJoin measures the batch join. A read is one aujoin process joining a
-// 40-record probe batch against the 300-record collection; a write is one
-// joining 4 records new to the workload, the way a batch user folds new
-// records in. Every output is compared with the brute-force oracle.
+// runJoin measures the batch join. One join is one aujoin process joining
+// a 40-record probe batch against the 300-record collection; every output
+// is compared with the brute-force oracle.
 func runJoin(r *runner) error {
-	ds, err := genInputs(r, joinReadPool+joinWritePool, joinDataSeed)
+	ds, err := genInputs(r, joinPool, joinDataSeed)
 	if err != nil {
 		return err
 	}
 	right := ds.right[:joinT]
-	base, err := joinOracle(r, ds, ds.left[:joinReadPool+joinWritePool], right)
+	base, err := joinOracle(r, ds, ds.left[:joinPool], right)
 	if err != nil {
 		return err
 	}
-	// The run's seed shuffles the read records among themselves and the
-	// write records among themselves; the oracle's left positions follow.
-	rng := rand.New(rand.NewSource(r.seed))
-	at := append(rng.Perm(joinReadPool), rng.Perm(joinWritePool)...) // at[i]: dataset position of left[i]
-	for i := joinReadPool; i < len(at); i++ {
-		at[i] += joinReadPool
-	}
+	// The run's seed shuffles the left records; the oracle's left
+	// positions follow.
+	at := rand.New(rand.NewSource(r.seed)).Perm(joinPool) // at[i]: dataset position of left[i]
 	left := make([]string, len(at))
 	pos := make([]int, len(at)) // inverse of at
 	for i, k := range at {
@@ -70,24 +66,14 @@ func runJoin(r *runner) error {
 	type batch struct {
 		path   string
 		offset int // position of the batch's first record in left
-		size   int
 	}
-	var reads, writes []batch
-	for off := 0; off < len(left); {
-		size, write := joinReadBatch, false
-		if off >= joinReadPool {
-			size, write = joinWriteBatch, true
-		}
-		b := batch{path: filepath.Join(r.dir, fmt.Sprintf("batch-%d.txt", off)), offset: off, size: size}
-		if err := writeLines(b.path, left[off:off+size]); err != nil {
+	var batches []batch
+	for off := 0; off < len(left); off += joinBatch {
+		b := batch{path: filepath.Join(r.dir, fmt.Sprintf("batch-%d.txt", off)), offset: off}
+		if err := writeLines(b.path, left[off:off+joinBatch]); err != nil {
 			return err
 		}
-		if write {
-			writes = append(writes, b)
-		} else {
-			reads = append(reads, b)
-		}
-		off += size
+		batches = append(batches, b)
 	}
 	setupPath := filepath.Join(r.dir, "setup.txt")
 	if err := writeLines(setupPath, left[:1]); err != nil {
@@ -99,10 +85,10 @@ func runJoin(r *runner) error {
 			"-theta", strconv.FormatFloat(theta, 'f', -1, 64), "-tau", strconv.Itoa(joinTau), "-filter", filter}
 	}
 	outPath := filepath.Join(r.dir, "out.txt")
-	var readRSS []float64 // peak resident set of each read join, MiB
+	var rss []float64 // peak resident set of each join, MiB
 	var missing, extra, wrong, oraclePairs int
 	// join runs one aujoin process over b and checks its output.
-	join := func(b batch, name string, req int64, traced bool) (time.Duration, error) {
+	join := func(b batch, req int64, traced bool) (time.Duration, error) {
 		tr := r.tr
 		if !traced {
 			tr = nil
@@ -111,14 +97,11 @@ func runJoin(r *runner) error {
 		if err != nil {
 			return 0, err
 		}
-		sp := tr.start(name, 0, req)
+		sp := tr.start("cli.join", 0, req)
 		run, runErr := runCLI(r.ctx, r.exe("aujoin"), out, args(b.path)...)
-		wall := run.Wall
 		sp.end()
 		out.Close()
-		if name == "cli.join_read" {
-			readRSS = append(readRSS, float64(run.RSSKB)/1024)
-		}
+		rss = append(rss, float64(run.RSSKB)/1024)
 		if r.ctx.Err() != nil {
 			return 0, errCancelled
 		}
@@ -128,7 +111,7 @@ func runJoin(r *runner) error {
 			if perr != nil {
 				runErr = perr
 			} else {
-				d := comparePairs(got, oracleSlice(oracle, b.offset, b.size), 1e-4)
+				d := comparePairs(got, oracleSlice(oracle, b.offset, joinBatch), 1e-4)
 				missing, extra, wrong, oraclePairs = missing+d.Missing, extra+d.Extra, wrong+d.WrongSim, oraclePairs+d.Oracle
 				if d.unsound() {
 					bad = 1
@@ -140,7 +123,7 @@ func runJoin(r *runner) error {
 			bad = 1
 		}
 		r.check(1, bad)
-		return wall, nil
+		return run.Wall, nil
 	}
 
 	var setups, setupWall []float64
@@ -154,92 +137,110 @@ func runJoin(r *runner) error {
 	}
 	r.meta["setup_wall_s"] = median(setupWall)
 
-	var readMs, writeMs, recPerS, tracedMs, plainMs []float64
+	var joinMs, recPerS, tracedMs, plainMs []float64
 	start := time.Now()
 	limit := time.Duration(2 * r.seconds * float64(time.Second))
-	for i := 0; ; i++ {
+	for k := 0; ; k++ {
 		el := time.Since(start)
-		if (el.Seconds() >= r.seconds && len(readMs) >= joinMinReads) || el > limit {
+		if (el.Seconds() >= r.seconds && len(joinMs) >= joinMinJoins) || el > limit {
 			break
 		}
-		if i%4 == 3 {
-			b := writes[(i/4)%len(writes)]
-			wall, err := join(b, "cli.join_write", int64(i), true)
-			if err != nil {
-				return err
-			}
-			writeMs = append(writeMs, ms(wall))
-			continue
-		}
-		k := i - i/4 // reads so far
-		b := reads[k%len(reads)]
-		// Tracing alternates by whole cycles over the batches, so traced
-		// and untraced reads cover the same inputs.
-		traced := (k/len(reads))%2 == 0
-		wall, err := join(b, "cli.join_read", int64(i), traced)
+		b := batches[k%len(batches)]
+		// Tracing alternates by whole passes over the batches, so traced
+		// and untraced joins cover the same inputs.
+		traced := (k/len(batches))%2 == 0
+		wall, err := join(b, int64(k), traced)
 		if err != nil {
 			return err
 		}
-		readMs = append(readMs, ms(wall))
+		joinMs = append(joinMs, ms(wall))
 		if traced {
 			tracedMs = append(tracedMs, ms(wall))
 		} else {
 			plainMs = append(plainMs, ms(wall))
 		}
-		recPerS = append(recPerS, float64(b.size+joinT)/wall.Seconds())
+		recPerS = append(recPerS, float64(joinBatch+joinT)/wall.Seconds())
 	}
 
 	r.e2e["setup_s"] = median(setups)
-	// A pass joins every read batch once, so every pass covers the same
-	// records whatever the seed; the median over passes of a pass's mean
-	// join time does not hinge on which batch lands in the middle.
+	// A pass joins every batch once, so every pass covers the same records
+	// whatever the seed; the median over passes of a pass's mean join time
+	// does not hinge on which batch lands in the middle.
 	var passMs []float64
-	for p := 0; (p+1)*len(reads) <= len(readMs); p++ {
-		passMs = append(passMs, mean(readMs[p*len(reads):(p+1)*len(reads)]))
+	for p := 0; (p+1)*len(batches) <= len(joinMs); p++ {
+		passMs = append(passMs, mean(joinMs[p*len(batches):(p+1)*len(batches)]))
 	}
 	r.e2e["latency_ms_p50"] = median(passMs)
-	r.meta["latency_ms_p90"] = percentile(readMs, 90)
+	r.meta["latency_ms_p90"] = percentile(joinMs, 90)
 	r.meta["throughput_per_s"] = median(recPerS)
-	r.meta["write_ms_p50"] = median(writeMs)
-	r.e2e["rss_mb"] = mean(readRSS)
+	r.e2e["rss_mb"] = mean(rss)
 	r.e2e["success_rate"] = 1 - float64(missing+extra+wrong)/float64(max(oraclePairs, 1))
 	r.meta["flush_policy"] = "none: the aujoin command keeps no durable state"
 	r.meta["join"] = map[string]any{
-		"left_batch": joinReadBatch, "right": joinT, "write_batch": joinWriteBatch, "theta": theta, "tau": joinTau, "filter": filter,
-		"reads": len(readMs), "passes": len(passMs), "writes": len(writeMs), "oracle_pairs_checked": oraclePairs,
+		"left_batch": joinBatch, "right": joinT, "theta": theta, "tau": joinTau, "filter": filter,
+		"joins": len(joinMs), "passes": len(passMs), "oracle_pairs_checked": oraclePairs,
 		"missing_pairs": missing, "extra_pairs": extra, "wrong_similarity": wrong,
-		"p90_samples_beyond": beyond(len(readMs), 90),
+		"p90_samples_beyond": beyond(len(joinMs), 90),
 	}
 	if r.tr == nil {
 		return nil
 	}
 	r.layer["harness.tracing_overhead"] = ratio(median(tracedMs), median(plainMs))
-	var queries []string
-	for _, b := range reads {
-		queries = append(queries, left[b.offset:b.offset+b.size]...)
-	}
 	var ops []replayOp
-	for i, b := range writes {
-		ops = append(ops, replayOp{write: left[b.offset : b.offset+b.size]})
-		for _, q := range queries[i*len(queries)/len(writes) : (i+1)*len(queries)/len(writes)] {
-			ops = append(ops, replayOp{query: q})
-		}
+	for i, q := range left {
+		ops = append(ops, replayOp{query: q, req: int64(i)})
 	}
-	return probeLayers(r, ds, layerInput{catalog: right, queries: queries, ops: ops, tau: joinTau})
+	return probeLayers(r, ds, layerInput{catalog: right, queries: left, ops: ops, tau: joinTau})
 }
 
 // oracleFile caches the brute-force pairs of the join workload's dataset.
+// Key names everything the pairs depend on (see oracleKey).
 type oracleFile struct {
-	Left, Right int
-	Pairs       [][3]float64 // left position, right position, similarity
+	Key   string
+	Pairs [][3]float64 // left position, right position, similarity
+}
+
+// oracleKey hashes what the brute-force pairs depend on: both collections,
+// the knowledge files, θ, and this driver's own executable, which holds the
+// similarity code that computes them. A cached oracle from other inputs or
+// another build of the library is never reused.
+func oracleKey(ds dataset, left, right []string) (string, error) {
+	h := sha256.New()
+	fmt.Fprintf(h, "theta %v\n", theta)
+	for _, side := range [][]string{left, right} {
+		fmt.Fprintf(h, "%d records\n", len(side))
+		for _, rec := range side {
+			fmt.Fprintf(h, "%q\n", rec)
+		}
+	}
+	exe, err := os.Executable()
+	if err != nil {
+		return "", err
+	}
+	for _, path := range []string{ds.synonyms(), ds.taxonomy(), exe} {
+		f, err := os.Open(path)
+		if err != nil {
+			return "", err
+		}
+		_, err = io.Copy(h, f)
+		f.Close()
+		if err != nil {
+			return "", err
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // joinOracle returns every pair of left × right at or above θ, computed by
-// brute force once and cached.
+// brute force once and cached under its key.
 func joinOracle(r *runner, ds dataset, left, right []string) (map[pairKey]float64, error) {
-	path := filepath.Join(r.cache, fmt.Sprintf("join-data%d-%dx%d.json", joinDataSeed, len(left), len(right)))
+	key, err := oracleKey(ds, left, right)
+	if err != nil {
+		return nil, err
+	}
+	path := filepath.Join(r.cache, "join-"+key[:16]+".json")
 	var of oracleFile
-	if b, err := os.ReadFile(path); err == nil && json.Unmarshal(b, &of) == nil && of.Left == len(left) && of.Right == len(right) {
+	if b, err := os.ReadFile(path); err == nil && json.Unmarshal(b, &of) == nil && of.Key == key {
 		return oracleMap(of), nil
 	}
 	j, err := ds.internalJoiner()
@@ -250,7 +251,7 @@ func joinOracle(r *runner, ds dataset, left, right []string) (map[pairKey]float6
 	if err != nil {
 		return nil, err
 	}
-	of = oracleFile{Left: len(left), Right: len(right)}
+	of = oracleFile{Key: key}
 	for _, p := range pairs {
 		of.Pairs = append(of.Pairs, [3]float64{float64(p.S), float64(p.T), p.Similarity})
 	}
@@ -258,7 +259,7 @@ func joinOracle(r *runner, ds dataset, left, right []string) (map[pairKey]float6
 	if err != nil {
 		return nil, err
 	}
-	tmp := path + ".tmp"
+	tmp := fmt.Sprintf("%s.%d.tmp", path, os.Getpid())
 	if err := os.WriteFile(tmp, b, 0o644); err != nil {
 		return nil, err
 	}

@@ -29,6 +29,7 @@ const (
 	serveWriteRate   = 8   // /insert and /remove-batch calls per second
 	serveLimitMs     = 25  // p90 latency limit of a ladder step
 	serveChecks      = 100 // sampled answers compared after the load, and again after the restarts
+	serveBrute       = 20  // of which judged by brute force whatever the reference index says
 )
 
 // rateLadder is the fixed rate ladder the serve and cluster workloads
@@ -120,8 +121,12 @@ func runServe(r *runner) error {
 	if err != nil {
 		return err
 	}
-	ref := s.reference(j, catalog, serveTau)
-	if err := s.checkAnswers(ref, serveChecks, 1); err != nil {
+	ij, err := ds.internalJoiner()
+	if err != nil {
+		return err
+	}
+	ref := s.reference(j, ij.Calculator(), catalog, serveTau)
+	if err := s.checkAnswers(ref, s.sampleQueries(serveChecks, 1), serveBrute); err != nil {
 		return err
 	}
 
@@ -146,7 +151,7 @@ func runServe(r *runner) error {
 	if lost > 0 {
 		r.meta["lost_acked_writes"] = lost
 	}
-	if err := s.checkAnswers(ref, serveChecks, 2); err != nil {
+	if err := s.checkAnswers(ref, s.sampleQueries(serveChecks, 2), serveBrute); err != nil {
 		return err
 	}
 
@@ -155,14 +160,14 @@ func runServe(r *runner) error {
 	r.meta["latency_ms_p90"] = percentile(reads.LatMs, 90)
 	r.meta["write_ms_p50"] = median(writes.LatMs)
 	r.e2e["rss_mb"] = percentile(rss, 90)
-	r.e2e["success_rate"] = 1 - float64(r.failed+r.misses)/float64(max(r.attempted, 1))
+	r.e2e["success_rate"] = r.successRate()
 	r.meta["flush_policy"] = "fsync on every WAL append; checkpoint at cold start only (-checkpoint-every 0), none during load"
 	r.meta["ladder"] = map[string]any{"rungs": rateLadder, "p90_limit_ms": serveLimitMs}
 	r.meta["serve"] = map[string]any{
 		"catalog": serveCatalog, "theta": theta, "tau": serveTau, "filter": filter, "shards": 1,
 		"nominal_read_rate": serveReadRate, "write_rate": serveWriteRate, "connections": conns(),
 		"read_mix": "31/32 three-token hot-token lookups, 1/32 full-record near-duplicate probes; k=10",
-		"reads":    len(reads.LatMs), "query_ms_p99": percentile(reads.LatMs, 99), "p90_samples_beyond": beyond(len(reads.LatMs), 90), "incomplete_answers": r.misses,
+		"reads":    len(reads.LatMs), "query_ms_p99": percentile(reads.LatMs, 99), "p90_samples_beyond": beyond(len(reads.LatMs), 90), "checked_answers": r.checked, "incomplete_answers": r.misses,
 		"inserts": len(writes.LatMs), "insert_ms_p99": percentile(writes.LatMs, tailPercentile(len(writes.LatMs))),
 		"insert_tail_percentile": tailPercentile(len(writes.LatMs)),
 		"restore_s":              median(restores), "rebuilds": after.Rebuilds,
