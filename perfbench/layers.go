@@ -227,13 +227,8 @@ func replayLayers(r *runner, j *join.Joiner, opts join.Options, recs []strutil.R
 	qus := tr.durationsUs("join.QueryTopKCtx")
 	r.layer["join.query_us_p50"] = median(qus)
 	r.layer["join.query_us_p99"] = percentile(qus, 99)
-	// The write-path figures exist only where the workload writes: the
-	// join workload's stream is reads alone.
-	appends := tr.durationsUs("store.Append")
-	if len(appends) > 0 {
-		r.layer["join.insert_us"] = median(tr.durationsUs("join.InsertBatch"))
-		r.layer["store.wal_append_ms"] = median(appends) / 1e3
-	}
+	r.layer["join.insert_us"] = median(tr.durationsUs("join.InsertBatch"))
+	r.layer["store.wal_append_ms"] = median(tr.durationsUs("store.Append")) / 1e3
 	stats := sx.Stats()
 	r.layer["join.rebuilds"] = float64(stats.Rebuilds)
 	pause := 0.0
@@ -245,9 +240,7 @@ func replayLayers(r *runner, j *join.Joiner, opts join.Options, recs []strutil.R
 	if err != nil {
 		return err
 	}
-	if len(appends) > 0 {
-		r.layer["store.wal_bytes_per_user_byte"] = float64(len(wal)) / float64(max(userBytes, 1))
-	}
+	r.layer["store.wal_bytes_per_user_byte"] = float64(len(wal)) / float64(max(userBytes, 1))
 
 	sp := tr.start("store.Snapshot.Encode", 0, 0)
 	t0 := time.Now()
@@ -297,9 +290,7 @@ func replayLayers(r *runner, j *join.Joiner, opts join.Options, recs []strutil.R
 			rx.RemoveBatch(ids)
 		}
 	}
-	if len(appends) > 0 {
-		r.layer["store.wal_replay_s"] = time.Since(t0).Seconds()
-	}
+	r.layer["store.wal_replay_s"] = time.Since(t0).Seconds()
 	sp.end()
 	if got := rx.Stats(); got.Live != stats.Live || got.Records != stats.Records {
 		r.check(1, 1)

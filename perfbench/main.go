@@ -233,11 +233,9 @@ func run() int {
 		}
 		res.Metrics[name] = metric{Value: v, Unit: unit}
 	}
-	if r.tr == nil {
-		for name := range units {
-			if _, ok := values[name]; !ok {
-				missing = append(missing, name)
-			}
+	for name := range units {
+		if _, ok := values[name]; !ok {
+			missing = append(missing, name)
 		}
 	}
 	if len(missing) > 0 {

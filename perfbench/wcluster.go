@@ -67,47 +67,6 @@ func runCluster(r *runner) error {
 	}
 	inserts := insertBatches(r.seed, ds.right)
 
-	boot := func(n int) (*deployment, time.Duration, error) {
-		d := &deployment{}
-		addrs, err := freeAddrs(1 + clusterWorkers)
-		if err != nil {
-			return nil, 0, err
-		}
-		d.coordAt = addrs[0]
-		t0 := time.Now()
-		// Workers first, then the coordinator, in the order the README's
-		// cluster quick-start gives (see "Known misses and defects" in
-		// README.md for what the reverse order can do).
-		for w := 0; w < clusterWorkers; w++ {
-			addr := addrs[1+w]
-			name := fmt.Sprintf("worker-%d-%d", n, w)
-			p, err := r.ps.start(r.exe("aujoind"), name, filepath.Join(r.dir, name+".log"),
-				"-addr", addr, "-join", "http://"+d.coordAt, "-shards", "1",
-				"-synonyms", ds.synonyms(), "-taxonomy", ds.taxonomy())
-			if err != nil {
-				d.kill()
-				return nil, 0, err
-			}
-			d.workers, d.addrs = append(d.workers, p), append(d.addrs, "http://"+addr)
-		}
-		name := fmt.Sprintf("coord-%d", n)
-		d.coord, err = r.ps.start(r.exe("aujoin-coord"), name, filepath.Join(r.dir, name+".log"),
-			"-addr", d.coordAt, "-expect-workers", strconv.Itoa(clusterWorkers), "-replicas", strconv.Itoa(clusterReplicas),
-			"-catalog", catalogPath, "-theta", strconv.FormatFloat(theta, 'f', -1, 64), "-tau", strconv.Itoa(clusterTau), "-filter", filter)
-		if err != nil {
-			d.kill()
-			return nil, 0, err
-		}
-		if err := waitReady(r.ctx, "http://"+d.coordAt+"/readyz", append([]*proc{d.coord}, d.workers...), 30*time.Second); err != nil {
-			d.kill()
-			if b, rerr := os.ReadFile(d.coord.log); rerr == nil {
-				os.Stderr.Write(b) // the coordinator logs why its bootstrap failed
-			}
-			return nil, 0, err
-		}
-		return d, time.Since(t0), nil
-	}
-
 	var dep *deployment
 	var setups, setupWall []float64
 	failedBoots := 0
@@ -115,21 +74,12 @@ func runCluster(r *runner) error {
 		if dep != nil {
 			dep.kill()
 		}
-		// A bootstrap normally takes under a second. One that fails is a
-		// failed operation of the run; it is retried so that the run still
-		// measures the rest.
 		var d time.Duration
-		for attempt := 0; ; attempt++ {
-			if dep, d, err = boot(i); err == nil {
-				r.check(1, 0)
-				break
-			}
-			r.check(1, 1)
-			failedBoots++
-			if attempt == 2 || r.ctx.Err() != nil {
-				return fmt.Errorf("bootstrap: %w", err)
-			}
-			fmt.Fprintln(os.Stderr, "perfbench: bootstrap failed, retrying:", err)
+		var failed int
+		dep, d, failed, err = bootCluster(r, ds, catalogPath, clusterTau, strconv.Itoa(i))
+		failedBoots += failed
+		if err != nil {
+			return err
 		}
 		var cpu time.Duration
 		for _, p := range append([]*proc{dep.coord}, dep.workers...) {
@@ -203,22 +153,96 @@ func runCluster(r *runner) error {
 	maxQPS, rungs := s.ladder(rateLadder, saturated, clusterLimitMs, 2*time.Second)
 	r.meta["ladder"] = map[string]any{"rungs": rateLadder, "p90_limit_ms": clusterLimitMs, "steps": rungs, "max_qps": maxQPS}
 
-	// Per-layer: the coordinator's own counters, direct worker queries
-	// stamped with the coordinator's epoch, then the in-process replay.
-	workerMs, err := directWorkerQueries(r, s, dep, c1.Epoch)
-	if err != nil {
+	// Per-layer: the coordinator's own counters and direct worker queries
+	// stamped with the coordinator's epoch, then the in-process replay and
+	// a single node's HTTP data plane over the same stream.
+	if err := clusterLayers(r, s, dep, c0, c1, reads.LatMs); err != nil {
 		return err
 	}
 	ops := replayStream(s, nominal, nominalBase)
 	if err := probeLayers(r, ds, layerInput{catalog: catalog, queries: queriesOf(ops), ops: ops, tau: clusterTau}); err != nil {
 		return err
 	}
+	r.layer["cluster.response_bytes"] = float64(s.respB.Load()) / float64(max(s.respN.Load(), 1))
+	harnessLayers(r, nominal)
+	dep.kill()
+	return sideNode(r, ds, catalog, ops, clusterTau)
+}
+
+// bootCluster starts the workers and then the coordinator over the catalog
+// file and returns the deployment once the coordinator is ready, with the
+// time that took and the number of failed attempts. A bootstrap normally
+// takes under a second; one that fails is a failed operation of the run and
+// is retried, up to three attempts, so that the run still measures the
+// rest.
+func bootCluster(r *runner, ds dataset, catalogPath string, tau int, name string) (*deployment, time.Duration, int, error) {
+	for attempt := 0; ; attempt++ {
+		dep, d, err := bootOnce(r, ds, catalogPath, tau, fmt.Sprintf("%s-%d", name, attempt))
+		if err == nil {
+			r.check(1, 0)
+			return dep, d, attempt, nil
+		}
+		r.check(1, 1)
+		if attempt == 2 || r.ctx.Err() != nil {
+			return nil, 0, attempt + 1, fmt.Errorf("bootstrap: %w", err)
+		}
+		fmt.Fprintln(os.Stderr, "perfbench: bootstrap failed, retrying:", err)
+	}
+}
+
+func bootOnce(r *runner, ds dataset, catalogPath string, tau int, name string) (*deployment, time.Duration, error) {
+	d := &deployment{}
+	addrs, err := freeAddrs(1 + clusterWorkers)
+	if err != nil {
+		return nil, 0, err
+	}
+	d.coordAt = addrs[0]
+	t0 := time.Now()
+	// Workers first, then the coordinator, in the order the README's
+	// cluster quick-start gives (see "Known misses and defects" in
+	// README.md for what the reverse order can do).
+	for w := 0; w < clusterWorkers; w++ {
+		addr := addrs[1+w]
+		wname := fmt.Sprintf("worker-%s-%d", name, w)
+		p, err := r.ps.start(r.exe("aujoind"), wname, filepath.Join(r.dir, wname+".log"),
+			"-addr", addr, "-join", "http://"+d.coordAt, "-shards", "1",
+			"-synonyms", ds.synonyms(), "-taxonomy", ds.taxonomy())
+		if err != nil {
+			d.kill()
+			return nil, 0, err
+		}
+		d.workers, d.addrs = append(d.workers, p), append(d.addrs, "http://"+addr)
+	}
+	cname := "coord-" + name
+	d.coord, err = r.ps.start(r.exe("aujoin-coord"), cname, filepath.Join(r.dir, cname+".log"),
+		"-addr", d.coordAt, "-expect-workers", strconv.Itoa(clusterWorkers), "-replicas", strconv.Itoa(clusterReplicas),
+		"-catalog", catalogPath, "-theta", strconv.FormatFloat(theta, 'f', -1, 64), "-tau", strconv.Itoa(tau), "-filter", filter)
+	if err != nil {
+		d.kill()
+		return nil, 0, err
+	}
+	if err := waitReady(r.ctx, "http://"+d.coordAt+"/readyz", append([]*proc{d.coord}, d.workers...), 30*time.Second); err != nil {
+		d.kill()
+		if b, rerr := os.ReadFile(d.coord.log); rerr == nil {
+			os.Stderr.Write(b) // the coordinator logs why its bootstrap failed
+		}
+		return nil, 0, err
+	}
+	return d, time.Since(t0), nil
+}
+
+// clusterLayers fills the coordinator-layer metrics from the coordinator's
+// counters before (c0) and after (c1) a read phase, that phase's /query
+// latencies through the coordinator, and direct worker queries.
+func clusterLayers(r *runner, s *service, dep *deployment, c0, c1 cluster.CoordStats, coordMs []float64) error {
+	workerMs, err := directWorkerQueries(r, s, dep, c1.Epoch)
+	if err != nil {
+		return err
+	}
 	r.layer["cluster.merge_ms_p50"] = c1.MergeMsP50
 	r.layer["cluster.epoch_bumps"] = float64(c1.Bumps - c0.Bumps)
-	r.layer["cluster.response_bytes"] = float64(s.respB.Load()) / float64(max(s.respN.Load(), 1))
 	r.layer["cluster.worker_query_ms_p50"] = median(workerMs)
-	r.layer["cluster.coord_tax"] = ratio(median(reads.LatMs), median(workerMs))
-	harnessLayers(r, nominal)
+	r.layer["cluster.coord_tax"] = ratio(median(coordMs), median(workerMs))
 	return nil
 }
 

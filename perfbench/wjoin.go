@@ -137,8 +137,10 @@ func runJoin(r *runner) error {
 	}
 	r.meta["setup_wall_s"] = median(setupWall)
 
-	var joinMs, recPerS, tracedMs, plainMs []float64
+	var joinMs, recPerS, tracedMs, plainMs, gapMs []float64
 	start := time.Now()
+	var prevStart time.Time
+	var prevWall time.Duration
 	limit := time.Duration(2 * r.seconds * float64(time.Second))
 	for k := 0; ; k++ {
 		el := time.Since(start)
@@ -149,10 +151,18 @@ func runJoin(r *runner) error {
 		// Tracing alternates by whole passes over the batches, so traced
 		// and untraced joins cover the same inputs.
 		traced := (k/len(batches))%2 == 0
+		t0 := time.Now()
+		if k > 0 {
+			// Joins run back to back, so each is due when the previous
+			// one exits; the driver's gap before starting it (checking
+			// the previous output) is its lateness.
+			gapMs = append(gapMs, ms(t0.Sub(prevStart)-prevWall))
+		}
 		wall, err := join(b, int64(k), traced)
 		if err != nil {
 			return err
 		}
+		prevStart, prevWall = t0, wall
 		joinMs = append(joinMs, ms(wall))
 		if traced {
 			tracedMs = append(tracedMs, ms(wall))
@@ -186,11 +196,28 @@ func runJoin(r *runner) error {
 		return nil
 	}
 	r.layer["harness.tracing_overhead"] = ratio(median(tracedMs), median(plainMs))
+	r.layer["harness.gen_late_ms_p99"] = percentile(gapMs, 99)
+	// The CLI joins never write, but every traced run reports every layer:
+	// the in-process replay (and the side node after it) also fold the
+	// probe records into the index, a batch of one to four after every
+	// fourth query, so the join and store write paths are timed on this
+	// workload's records. More insert batches than a delta chain holds
+	// (64) make the index rebuild at least once.
 	var ops []replayOp
+	ins := insertBatches(r.seed, left)
 	for i, q := range left {
 		ops = append(ops, replayOp{query: q, req: int64(i)})
+		if i%4 == 3 {
+			ops = append(ops, replayOp{write: ins[i/4]})
+		}
 	}
-	return probeLayers(r, ds, layerInput{catalog: right, queries: left, ops: ops, tau: joinTau})
+	if err := probeLayers(r, ds, layerInput{catalog: right, queries: left, ops: ops, tau: joinTau}); err != nil {
+		return err
+	}
+	if err := sideNode(r, ds, right, ops, joinTau); err != nil {
+		return err
+	}
+	return sideCluster(r, ds, right, left, joinTau)
 }
 
 // oracleFile caches the brute-force pairs of the join workload's dataset.

@@ -50,33 +50,18 @@ func runServe(r *runner) error {
 	}
 	queries, inserts := mixedQueries(r.seed, catalog, ds.right), insertBatches(r.seed, ds.right)
 
-	args := func(addr, dataDir string) []string {
-		return []string{"-addr", addr, "-catalog", catalogPath, "-theta", strconv.FormatFloat(theta, 'f', -1, 64),
-			"-tau", strconv.Itoa(serveTau), "-filter", filter, "-shards", "1",
-			"-synonyms", ds.synonyms(), "-taxonomy", ds.taxonomy(), "-data-dir", dataDir, "-checkpoint-every", "0"}
-	}
 	// start launches aujoind and returns it once /readyz answers 200,
 	// with the time that took.
 	var daemon *proc
 	var addr string
 	var setupWall []float64
 	start := func(name, dataDir string) (time.Duration, error) {
-		addrs, err := freeAddrs(1)
+		p, a, d, err := startNode(r, ds, catalogPath, dataDir, serveTau, name)
 		if err != nil {
 			return 0, err
 		}
-		addr = addrs[0]
-		t0 := time.Now()
-		p, err := r.ps.start(r.exe("aujoind"), name, filepath.Join(r.dir, name+".log"), args(addr, dataDir)...)
-		if err != nil {
-			return 0, err
-		}
-		if err := waitReady(r.ctx, "http://"+addr+"/readyz", []*proc{p}, 60*time.Second); err != nil {
-			p.kill()
-			return 0, err
-		}
-		daemon = p
-		return time.Since(t0), nil
+		daemon, addr = p, a
+		return d, nil
 	}
 
 	var setups []float64
@@ -185,26 +170,56 @@ func runServe(r *runner) error {
 	// Per-layer: counters the daemon reported over the nominal phase, then
 	// the in-process replay of the same stream.
 	nq := float64(max(reads.Attempted, 1))
-	plans := 0.0
-	top := 0.0
-	for cfg, n := range st1.PlanDecisions {
-		d := float64(n - st0.PlanDecisions[cfg])
-		plans += d
-		top = max(top, d)
-	}
 	ops := replayStream(s, nominal, nominalBase)
 	if err := probeLayers(r, ds, layerInput{catalog: catalog, queries: queriesOf(ops), ops: ops, tau: serveTau}); err != nil {
 		return err
 	}
 	r.layer["invindex.postings_per_probe"] = float64(st1.ProbePostings-st0.ProbePostings) / nq
-	r.layer["planner.decisions"] = plans
-	r.layer["planner.top_config_share"] = top / max(plans, 1)
+	planLayers(r, st0, st1)
 	r.layer["join.rebuilds"] = float64(after.Rebuilds)
 	r.layer["store.restart_ready_s"] = median(restores)
 	r.layer["cluster.response_bytes"] = float64(s.respB.Load()) / float64(max(s.respN.Load(), 1))
 	harnessLayers(r, nominal)
 	nodeHTTPLayers(r, nominal, nominalBase)
-	return nil
+	daemon.kill()
+	return sideCluster(r, ds, catalog, queriesOf(ops), serveTau)
+}
+
+// startNode launches one durable aujoind over the catalog file, with the
+// serve workload's flags, and returns it once /readyz answers 200, with its
+// address and the time that took.
+func startNode(r *runner, ds dataset, catalogPath, dataDir string, tau int, name string) (*proc, string, time.Duration, error) {
+	addrs, err := freeAddrs(1)
+	if err != nil {
+		return nil, "", 0, err
+	}
+	t0 := time.Now()
+	p, err := r.ps.start(r.exe("aujoind"), name, filepath.Join(r.dir, name+".log"),
+		"-addr", addrs[0], "-catalog", catalogPath, "-theta", strconv.FormatFloat(theta, 'f', -1, 64),
+		"-tau", strconv.Itoa(tau), "-filter", filter, "-shards", "1",
+		"-synonyms", ds.synonyms(), "-taxonomy", ds.taxonomy(), "-data-dir", dataDir, "-checkpoint-every", "0")
+	if err != nil {
+		return nil, "", 0, err
+	}
+	if err := waitReady(r.ctx, "http://"+addrs[0]+"/readyz", []*proc{p}, 60*time.Second); err != nil {
+		p.kill()
+		return nil, "", 0, err
+	}
+	return p, addrs[0], time.Since(t0), nil
+}
+
+// planLayers fills the planner metrics from a node's /stats before (st0)
+// and after (st1) a stretch of queries: the plans it made, and the share
+// of them that went to its most chosen configuration.
+func planLayers(r *runner, st0, st1 aujoin.IndexStats) {
+	plans, top := 0.0, 0.0
+	for cfg, n := range st1.PlanDecisions {
+		d := float64(n - st0.PlanDecisions[cfg])
+		plans += d
+		top = max(top, d)
+	}
+	r.layer["planner.decisions"] = plans
+	r.layer["planner.top_config_share"] = top / max(plans, 1)
 }
 
 // harnessLayers fills the generator and tracing metrics of a traced run
@@ -230,12 +245,7 @@ func harnessLayers(r *runner, nominal []sample) {
 // nominal phase's reads and the in-process replay's spans of the same
 // requests: what a /query costs beyond the index query it runs.
 func nodeHTTPLayers(r *runner, nominal []sample, readBase int64) {
-	inproc := map[int64]float64{}
-	for _, sp := range r.tr.closed() {
-		if sp.Name == "join.QueryTopKCtx" {
-			inproc[sp.Req] = float64(sp.End-sp.Start) / 1e3
-		}
-	}
+	inproc := inprocQueryUs(r.tr)
 	var lat, diff []float64
 	for _, x := range nominal {
 		if x.Op.Write || !x.Sent || x.Err != nil {
