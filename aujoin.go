@@ -62,8 +62,8 @@
 // the catalog online, while Snapshot hands out immutable views that serve
 // Query, QueryTopK and Probe lock-free and unaffected by concurrent
 // writes. New signature keys land in an append-only dynamic region of the
-// global pebble order, and the index re-finalizes (full rebuild) once the
-// appended mass crosses a threshold:
+// global pebble order, and the index re-freezes the order (full rebuild)
+// once the appended mass crosses a threshold:
 //
 //	ids := ix.Insert([]string{"espresso bar Helsinki"})
 //	view := ix.Snapshot()                  // consistent, lock-free reads
@@ -143,9 +143,9 @@ type Stats struct {
 	// Candidates is the number of pairs that survived filtering.
 	Candidates int
 	// ShardCandidates breaks Candidates down per shard when the probe ran
-	// against a sharded Index (IndexOptions.Shards ≥ 2): entry i counts the
-	// candidates shard i contributed, and the entries always sum to
-	// Candidates. It is nil for unsharded probes and one-shot joins.
+	// against an Index: entry i counts the candidates shard i contributed
+	// (one entry when IndexOptions.Shards is 1), and the entries always sum
+	// to Candidates. It is nil for one-shot joins.
 	ShardCandidates []int
 	// Results is the number of matches returned.
 	Results int
@@ -677,8 +677,9 @@ type IndexStats struct {
 	// frozen order prefix and the append-only dynamic region.
 	FrozenKeys  int `json:"frozen_keys"`
 	DynamicKeys int `json:"dynamic_keys"`
-	// Rebuilds counts re-finalize/rebuild cycles across all shards; Inserts
-	// the records appended over the index lifetime.
+	// Rebuilds counts shard compactions across all shards plus order
+	// re-freezes (each rebuilds every shard once); Inserts the records
+	// appended over the index lifetime.
 	Rebuilds int `json:"rebuilds"`
 	Inserts  int `json:"inserts"`
 	// DenseKeys and SparseKeys split the non-empty posting lists of the

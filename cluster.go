@@ -49,7 +49,7 @@ func (ix *Index) AdoptOrder(img OrderImage) error {
 	return ix.inner.AdoptOrder(img.Keys, img.Freqs)
 }
 
-// DisableAutoRefreeze turns off self-triggered global re-finalizes of the
+// DisableAutoRefreeze turns off self-triggered global re-freezes of the
 // shared pebble order. Cluster workers call it at startup: the order must
 // only change through coordinator-driven epoch bumps, never by a local
 // threshold trigger (per-shard compaction rebuilds stay enabled — they keep

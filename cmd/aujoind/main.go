@@ -75,6 +75,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -143,32 +144,45 @@ func (c *config) advertiseURL() string {
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("aujoind: ")
-
-	var cfg config
-	flag.StringVar(&cfg.addr, "addr", ":8321", "listen address")
-	flag.StringVar(&cfg.catalog, "catalog", "", "path to the initial catalog (one record per line); optional")
-	flag.Float64Var(&cfg.theta, "theta", 0.8, "unified similarity threshold in [0,1]")
-	flag.IntVar(&cfg.tau, "tau", 2, "overlap constraint")
-	flag.StringVar(&cfg.filter, "filter", "dp", "signature filter: u, heuristic or dp")
-	flag.IntVar(&cfg.shards, "shards", 1, "index partitions (0 = GOMAXPROCS)")
-	flag.StringVar(&cfg.synPath, "synonyms", "", "optional synonym rules file (lhs<TAB>rhs[<TAB>closeness])")
-	flag.StringVar(&cfg.taxPath, "taxonomy", "", "optional taxonomy file (node<TAB>parent)")
-	flag.StringVar(&cfg.measures, "measures", "TJS", "measure combination (e.g. J, TS, TJS)")
-	flag.StringVar(&cfg.dataDir, "data-dir", "", "durable data directory (snapshot + WAL); empty = in-memory only")
-	flag.DurationVar(&cfg.ckptIvl, "checkpoint-every", 0, "background checkpoint interval (requires -data-dir; 0 disables)")
-	flag.StringVar(&cfg.join, "join", "", "coordinator URL: run as a cluster worker instead of a standalone daemon")
-	flag.StringVar(&cfg.advertise, "advertise", "", "URL the coordinator reaches this worker at (default derived from -addr)")
-	flag.Parse()
-
-	if err := cfg.validate(); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, flag.CommandLine, os.Args[1:]); err != nil {
 		log.Fatal(err)
+	}
+}
+
+// run parses args into fs, binds the listener, and serves until ctx is
+// done, then shuts down gracefully. The listener is bound before anything
+// announces the daemon: a cluster worker registers with the coordinator
+// only once it can answer the coordinator's first call, and a bad -addr
+// fails here instead of after the registration.
+func run(ctx context.Context, fs *flag.FlagSet, args []string) error {
+	var cfg config
+	fs.StringVar(&cfg.addr, "addr", ":8321", "listen address")
+	fs.StringVar(&cfg.catalog, "catalog", "", "path to the initial catalog (one record per line); optional")
+	fs.Float64Var(&cfg.theta, "theta", 0.8, "unified similarity threshold in [0,1]")
+	fs.IntVar(&cfg.tau, "tau", 2, "overlap constraint")
+	fs.StringVar(&cfg.filter, "filter", "dp", "signature filter: u, heuristic or dp")
+	fs.IntVar(&cfg.shards, "shards", 1, "index partitions (0 = GOMAXPROCS)")
+	fs.StringVar(&cfg.synPath, "synonyms", "", "optional synonym rules file (lhs<TAB>rhs[<TAB>closeness])")
+	fs.StringVar(&cfg.taxPath, "taxonomy", "", "optional taxonomy file (node<TAB>parent)")
+	fs.StringVar(&cfg.measures, "measures", "TJS", "measure combination (e.g. J, TS, TJS)")
+	fs.StringVar(&cfg.dataDir, "data-dir", "", "durable data directory (snapshot + WAL); empty = in-memory only")
+	fs.DurationVar(&cfg.ckptIvl, "checkpoint-every", 0, "background checkpoint interval (requires -data-dir; 0 disables)")
+	fs.StringVar(&cfg.join, "join", "", "coordinator URL: run as a cluster worker instead of a standalone daemon")
+	fs.StringVar(&cfg.advertise, "advertise", "", "URL the coordinator reaches this worker at (default derived from -addr)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := cfg.validate(); err != nil {
+		return err
 	}
 
 	opts := []aujoin.Option{aujoin.WithMeasures(cfg.measures)}
 	if cfg.synPath != "" {
 		f, err := os.Open(cfg.synPath)
 		if err != nil {
-			log.Fatalf("open synonyms: %v", err)
+			return fmt.Errorf("open synonyms: %w", err)
 		}
 		opts = append(opts, aujoin.WithSynonymsFrom(f))
 		defer f.Close()
@@ -176,14 +190,14 @@ func main() {
 	if cfg.taxPath != "" {
 		f, err := os.Open(cfg.taxPath)
 		if err != nil {
-			log.Fatalf("open taxonomy: %v", err)
+			return fmt.Errorf("open taxonomy: %w", err)
 		}
 		opts = append(opts, aujoin.WithTaxonomyFrom(f))
 		defer f.Close()
 	}
 	joiner, err := aujoin.NewStrict(opts...)
 	if err != nil {
-		log.Fatalf("configuration: %v", err)
+		return fmt.Errorf("configuration: %w", err)
 	}
 
 	// The listener comes up before the index does: /healthz answers the
@@ -200,18 +214,18 @@ func main() {
 	}
 
 	httpSrv := &http.Server{
-		Addr:              cfg.addr,
 		Handler:           node.Mux(),
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       30 * time.Second,
 		WriteTimeout:      60 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
+	ln, err := net.Listen("tcp", cfg.addr)
+	if err != nil {
+		return err
+	}
 	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.ListenAndServe() }()
+	go func() { errCh <- httpSrv.Serve(ln) }()
 	log.Printf("serving on %s", cfg.addr)
 
 	var px *aujoin.PersistentIndex
@@ -287,7 +301,7 @@ func main() {
 
 	select {
 	case err := <-errCh:
-		log.Fatalf("serve: %v", err)
+		return fmt.Errorf("serve: %w", err)
 	case <-ctx.Done():
 	}
 	log.Print("shutting down")
@@ -307,4 +321,5 @@ func main() {
 			log.Printf("close data dir: %v", err)
 		}
 	}
+	return nil
 }

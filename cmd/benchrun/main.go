@@ -8,9 +8,10 @@
 //	benchrun -exp all -med 2000 -wiki 4000
 //	benchrun -exp serve -serve-duration 10s -serve-workers 8 -shards 4
 //
-// Experiment identifiers follow DESIGN.md §3: table8, table9, fig3, fig4,
-// fig5, fig6, fig7, table10, table11, table12, fig8, table13, table14.
-// Five extra identifiers (not part of the paper, excluded from "all"):
+// Experiment identifiers name the paper's tables and figures (§5): table8,
+// table9, fig3, fig4, fig5, fig6, fig7, table10, table11, table12, fig8,
+// table13, table14; "all" runs them in that order. Five extra identifiers
+// (not part of the paper, excluded from "all"):
 //
 //   - "serve" drives concurrent QueryTopK traffic against a mutating
 //     dynamic index and reports QPS, latency percentiles and rebuild
@@ -51,7 +52,7 @@ func main() {
 	log.SetPrefix("benchrun: ")
 
 	var (
-		exp  = flag.String("exp", "all", "experiment id (see DESIGN.md §3) or 'all'")
+		exp  = flag.String("exp", "all", "experiment id: table8, table9, table10-table14, fig3-fig8, serve, profile, filterscale, recover, cluster, or 'all' (the paper's tables and figures)")
 		med  = flag.Int("med", 0, "MED-like dataset size (default from the harness)")
 		wiki = flag.Int("wiki", 0, "WIKI-like dataset size (default from the harness)")
 		seed = flag.Int64("seed", 1, "random seed")

@@ -58,7 +58,7 @@ func runProfile(out string, size int, seed int64) fmt.Stringer {
 	joins++
 
 	opts := join.Options{Theta: 0.80, Tau: 2, Method: pebble.AUDP}
-	dx := j.BuildDynamicIndex(ds.S, opts, join.DynamicOptions{})
+	sx := j.BuildShardedIndex(ds.S, 1, opts, join.DynamicOptions{})
 	probes := 0
 	insertBatch := make([]string, 0, 64)
 	for round := 0; round < 8; round++ {
@@ -66,8 +66,8 @@ func runProfile(out string, size int, seed int64) fmt.Stringer {
 		for i := 0; i < 64; i++ {
 			insertBatch = append(insertBatch, gen.BaseRecord())
 		}
-		dx.Insert(insertBatch)
-		v := dx.Snapshot()
+		sx.InsertBatch(insertBatch)
+		v := sx.Snapshot()
 		for i := 0; i < 2000; i++ {
 			tokens := ds.T[(round*2000+i)%len(ds.T)].Tokens
 			if i%2 == 0 {

@@ -282,7 +282,7 @@ func runServe(cfg serveConfig) serveResult {
 			for i := range batch {
 				batch[i] = insertPool[rng.Intn(len(insertPool))]
 			}
-			ids := dx.Insert(batch)
+			ids := dx.InsertBatch(batch)
 			atomic.AddInt64(&inserted, int64(len(ids)))
 			liveInserted = append(liveInserted, ids...)
 			if len(liveInserted) > 8 {

@@ -308,7 +308,11 @@ func (c *Coordinator) markDown(ref *workerRef, cause error) {
 // sequences (a network blip, not a missed write). It also fires the
 // auto-bump when a worker's dynamic region outgrows the sync fraction.
 func (c *Coordinator) checkHealth(ctx context.Context) {
-	if c.ring == nil {
+	// bootstrap installs the ring under c.mu, possibly while this tick runs.
+	c.mu.Lock()
+	booted := c.ring != nil
+	c.mu.Unlock()
+	if !booted {
 		return
 	}
 	var maxFrozen, maxDyn int

@@ -195,29 +195,29 @@ func BenchmarkJoinBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkQuery measures single-record serving against a resident Index:
-// signature, count filter, query preparation and thresholded verification
-// per ProbeRecord call.
+// BenchmarkQuery measures single-record serving through the path a 1-shard
+// daemon runs: plan, signature, count filter, query preparation and
+// thresholded verification per ShardedView.ProbeRecord call.
 func BenchmarkQuery(b *testing.B) {
 	j := NewJoiner(paperContext())
 	s := benchCorpus(400, 1)
 	opts := Options{Theta: 0.8, Tau: 2, Method: pebble.AUDP}
-	ix := j.BuildIndex(s, opts)
+	v := j.BuildShardedIndex(s, 1, opts, DynamicOptions{}).Snapshot()
 	probe := benchCorpus(64, 9)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.ProbeRecord(probe[i%len(probe)].Tokens)
+		v.ProbeRecord(probe[i%len(probe)].Tokens)
 	}
 }
 
-// verifyTopKBench serves top-k queries against a 2000-record dynamic index
+// verifyTopKBench serves top-k queries against a 2000-record 1-shard index
 // (large candidate sets, so the verify phase dominates); opts toggles the
 // rising-threshold scheduler and the msim memo.
 func verifyTopKBench(b *testing.B, opts Options) {
 	j := NewJoiner(paperContext())
 	s := benchCorpus(2000, 1)
-	v := j.BuildDynamicIndex(s, opts, DynamicOptions{}).Snapshot()
+	v := j.BuildShardedIndex(s, 1, opts, DynamicOptions{}).Snapshot()
 	// Keep only probes with a non-empty answer so every timed op exercises
 	// the verify phase (a θ=0.8 threshold leaves some of the raw pool
 	// matchless, and those would measure the count filter instead).
@@ -288,13 +288,13 @@ func BenchmarkPlanOverhead(b *testing.B) {
 	j := NewJoiner(paperContext())
 	s := benchCorpus(2000, 1)
 	opts := Options{Theta: 0.8, Tau: 3, Method: pebble.AUDP}
-	v := j.BuildDynamicIndex(s, opts, DynamicOptions{}).Snapshot()
+	v := j.BuildShardedIndex(s, 1, opts, DynamicOptions{}).Snapshot()
 	probe := mixedProbes(64, 9)
 	pres := make([]pebble.Presig, len(probe))
 	for i, rec := range probe {
-		pres[i] = v.base.sel.Prepare(rec.Tokens)
+		pres[i] = v.gen.sel.Prepare(rec.Tokens)
 	}
-	pl := v.dx.planner
+	pl := v.sx.planner
 	// Steady state is the loop a serving process actually runs: every plan
 	// is observed, so the latency cells are measured and greedy exploitation
 	// carries the traffic (with the 1-in-16 exploration slot). Without the
@@ -302,12 +302,12 @@ func BenchmarkPlanOverhead(b *testing.B) {
 	// plan re-measures an arm — a state no real workload stays in.
 	observe := func(d planner.Decision) { pl.Observe(d, 8, 8, 1, 8_000, 100_000) }
 	for i := 0; i < 256; i++ {
-		observe(pl.Plan(v.base.sel, pres[i%len(pres)], v.base.inv.ListLength, len(v.records)))
+		observe(pl.Plan(v.gen.sel, pres[i%len(pres)], v.listLen, v.totalRecords()))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d := pl.Plan(v.base.sel, pres[i%len(pres)], v.base.inv.ListLength, len(v.records))
+		d := pl.Plan(v.gen.sel, pres[i%len(pres)], v.listLen, v.totalRecords())
 		if !d.Planned {
 			b.Fatal("plan fell back in the overhead benchmark")
 		}
@@ -326,7 +326,7 @@ func queryPlanBench(b *testing.B, qo QueryOpts) {
 	j := NewJoiner(paperContext())
 	s := benchCorpus(2000, 1)
 	opts := Options{Theta: 0.8, Tau: 3, Method: pebble.AUDP}
-	v := j.BuildDynamicIndex(s, opts, DynamicOptions{}).Snapshot()
+	v := j.BuildShardedIndex(s, 1, opts, DynamicOptions{}).Snapshot()
 	probe := mixedProbes(64, 9)
 	ctx := context.Background()
 	b.ReportAllocs()

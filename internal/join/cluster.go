@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/aujoin/aujoin/internal/core"
 	"github.com/aujoin/aujoin/internal/pebble"
 	"github.com/aujoin/aujoin/internal/strutil"
 )
@@ -88,7 +87,8 @@ func (sx *ShardedIndex) InsertBatchRecords(ids []int, raw []string) error {
 		return nil
 	}
 	seen := make(map[int]struct{}, len(ids))
-	for _, id := range ids {
+	recs := make([]strutil.Record, len(raw))
+	for i, id := range ids {
 		if id < 0 {
 			return fmt.Errorf("join: negative record id %d", id)
 		}
@@ -96,24 +96,14 @@ func (sx *ShardedIndex) InsertBatchRecords(ids []int, raw []string) error {
 			return fmt.Errorf("join: duplicate record id %d in batch", id)
 		}
 		seen[id] = struct{}{}
+		recs[i] = strutil.NewRecord(id, raw[i])
 	}
 	sx.mu.Lock()
 	for _, id := range ids {
-		if id >= sx.nextID {
-			sx.nextID = id + 1
-		}
+		sx.nextID = max(sx.nextID, id+1)
 	}
 	sx.mu.Unlock()
-
-	groups := make([][]strutil.Record, len(sx.shards))
-	for i, s := range raw {
-		w := shardOf(ids[i], len(sx.shards))
-		groups[w] = append(groups[w], strutil.NewRecord(ids[i], s))
-	}
-	sx.runShards(nonEmptyShards(len(groups), func(w int) bool { return len(groups[w]) > 0 }), func(w int) {
-		sx.shards[w].insertRecords(groups[w])
-	})
-	sx.maybeRefreeze()
+	sx.insertRouted(recs)
 	return nil
 }
 
@@ -124,102 +114,53 @@ func (sx *ShardedIndex) InsertBatchRecords(ids []int, raw []string) error {
 // collected under every shard's writer lock (one atomic cut); the frequency
 // count itself runs after the locks drop, since records are immutable.
 func (sx *ShardedIndex) KeyFrequencies() ([]string, []int) {
-	sx.refreezeMu.Lock()
-	for _, sh := range sx.shards {
-		sh.mu.Lock()
-	}
-	var flat []strutil.Record
-	for _, sh := range sx.shards {
-		live, _ := sh.liveLocked()
-		flat = append(flat, live...)
-	}
-	for _, sh := range sx.shards {
-		sh.mu.Unlock()
-	}
-	sx.refreezeMu.Unlock()
-
-	order := sx.joiner.BuildOrder(flat)
-	return order.FrequencyTable()
+	unlock := sx.lockAll()
+	_, _, flat := sx.liveLocked()
+	unlock()
+	return sx.joiner.BuildOrder(flat).FrequencyTable()
 }
 
 // AdoptOrder replaces the index's pebble order with an externally built
 // frozen order — the worker side of a cluster epoch bump's prepare phase.
-// The (keys, freqs) image must be in finalize order, as produced by
+// It is the router's generation swap with the order taken from outside: the
+// (keys, freqs) image must be in finalize order, as produced by
 // KeyFrequencies (after cross-group summing on the builder). Every shard is
 // rebuilt under the adopted order while all writer locks are held; readers
-// never block — they are served the cached pre-adoption snapshot, exactly
-// as during a self-triggered global re-finalize. Keys present in live
-// records but missing from the image (a mutation that raced the builder's
-// frequency collection) are interned into the adopted order's dynamic
-// region first, so adoption is correct regardless of what the builder saw;
-// the interning is deterministic across replicas because replicas hold
-// identical records in identical positions. After adoption the index never
-// re-freezes on its own: order ownership has moved to the coordinator, and
-// local rebuilds compact shards under the adopted order.
+// never block — they are served the cached pre-swap snapshot. Keys present
+// in live records but missing from the image (a mutation that raced the
+// builder's frequency collection) are interned into the adopted order's
+// dynamic region first, so adoption is correct regardless of what the
+// builder saw; the interning is deterministic across replicas because
+// replicas hold identical records in identical positions. After adoption
+// the index never re-freezes on its own: order ownership has moved to the
+// coordinator, and local rebuilds compact shards under the adopted order.
 func (sx *ShardedIndex) AdoptOrder(keys []string, freqs []int) error {
 	order, err := pebble.RestoreOrder(keys, freqs, nil)
 	if err != nil {
 		return err
 	}
-	sx.refreezeMu.Lock()
-	defer sx.refreezeMu.Unlock()
-	for _, sh := range sx.shards {
-		sh.mu.Lock()
-	}
-	defer func() {
-		for _, sh := range sx.shards {
-			sh.mu.Unlock()
-		}
-	}()
-	g := sx.gen.Load()
-	// Cache the pre-adoption state for readers arriving mid-rebuild (the
-	// views are one generation by construction: all writer locks are held).
-	pre := make([]*View, len(sx.shards))
-	for w, sh := range sx.shards {
-		pre[w] = sh.Snapshot()
-	}
-	sx.lastView.Store(newShardedView(sx, g, pre))
-	liveAll := make([][]strutil.Record, len(sx.shards))
-	prepAll := make([][]*core.PreparedRecord, len(sx.shards))
-	for w, sh := range sx.shards {
-		liveAll[w], prepAll[w] = sh.liveLocked()
-	}
-	// Defensive intern: any live key the image lacks joins the dynamic
-	// region before signatures are re-selected under the adopted order.
-	var pebs [][]pebble.Pebble
-	for w := range liveAll {
-		for _, rec := range liveAll[w] {
-			p, _ := sx.joiner.gen.Pebbles(rec.Tokens)
-			pebs = append(pebs, p)
-		}
-	}
-	order.InternDynamic(pebs...)
-	nextGen := 1
-	if g != nil {
-		nextGen = g.id + 1
-	}
-	next := &orderGen{order: order, sel: pebble.NewSelector(sx.joiner.gen, order, sx.opts.Theta), id: nextGen}
-	parallelFor(len(sx.shards), len(sx.shards), func(w int) {
-		// Shards now share an externally owned order: local rebuilds must
-		// compact under it rather than re-freeze a private one (a standalone
-		// single-shard index flips modes here).
-		sx.shards[w].sharedOrder = true
-		sx.shards[w].refreezeLocked(order, next.id, liveAll[w], prepAll[w])
-	})
-	sx.gen.Store(next)
+	unlock := sx.lockAll()
+	defer unlock()
 	sx.noRefreeze.Store(true)
-	sx.planner.Reanchor()
-	sx.lastView.Store(nil)
-	sx.refreezes++
+	sx.swapLocked(func(live []strutil.Record) *pebble.Order {
+		// Defensive intern: any live key the image lacks joins the dynamic
+		// region before signatures are re-selected under the adopted order.
+		pebs := make([][]pebble.Pebble, len(live))
+		for i, rec := range live {
+			pebs[i], _ = sx.joiner.gen.Pebbles(rec.Tokens)
+		}
+		order.InternDynamic(pebs...)
+		return order
+	})
 	return nil
 }
 
-// DisableRefreeze turns off self-triggered global re-finalizes: a cluster
-// worker's order is owned by the coordinator's epoch protocol, so the index
-// must never decide on its own to re-freeze (per-shard compaction rebuilds,
-// which keep the order, stay enabled).
+// DisableRefreeze turns off self-triggered re-freezes: a cluster worker's
+// order is owned by the coordinator's epoch protocol, so the index must
+// never decide on its own to swap orders (per-shard compactions, which
+// keep the order, stay enabled).
 func (sx *ShardedIndex) DisableRefreeze() {
-	sx.refreezeMu.Lock()
+	sx.swapMu.Lock()
 	sx.noRefreeze.Store(true)
-	sx.refreezeMu.Unlock()
+	sx.swapMu.Unlock()
 }

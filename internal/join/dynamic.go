@@ -2,7 +2,6 @@ package join
 
 import (
 	"context"
-	"iter"
 	"math"
 	"slices"
 	"sort"
@@ -30,18 +29,17 @@ const (
 	PlanFixed = planner.Fixed
 )
 
-// DynamicIndex is the mutable, concurrently servable form of Index: a
-// frozen base index plus a chain of small immutable delta segments for
-// records inserted since the last rebuild, a tombstone bitmap for removed
-// records, and the append-only dynamic region of the pebble order for
-// signature keys first seen after the base was finalized.
+// DynamicIndex is one shard of a ShardedIndex: a frozen base index plus a
+// chain of small immutable delta segments for records inserted since the
+// last rebuild, and a tombstone bitmap for removed records. The pebble order
+// belongs to the router; a shard interns new keys into its append-only
+// dynamic region and never builds or freezes an order of its own.
 //
-// Writers (Insert, Remove) serialize on an internal mutex, mutate
-// writer-owned state, and publish a fresh immutable View via an atomic
-// pointer swap — copy-on-write at the granularity of slice headers and the
-// tombstone bitmap. Readers call Snapshot (or the convenience wrappers) and
-// run entirely against that View: no locks, no retries, and a consistent
-// picture of the catalog no matter how many mutations land mid-query.
+// Writers serialize on the shard's mutex, mutate writer-owned state, and
+// publish a fresh immutable View via an atomic pointer swap — copy-on-write
+// at the granularity of slice headers and the tombstone bitmap. Readers run
+// entirely against a View: no locks, no retries, and a consistent picture of
+// the shard no matter how many mutations land mid-query.
 //
 // Correctness under mutation rests on two invariants:
 //
@@ -55,30 +53,18 @@ const (
 //     cloned before a bit is set. A View observes removals only if they
 //     were published before the View was taken.
 //
-// Frequency order (the filter's selectivity heuristic) degrades as the
-// dynamic region and tombstones accumulate, so once either exceeds
-// RebuildFraction of the base — or the segment chain grows past
-// MaxSegments — the writer re-finalizes: live records are compacted into a
-// fresh base index under a newly frozen order (reusing their prepared
-// verification records), and the segment chain resets to empty.
+// Once tombstones reach RebuildFraction of the shard's catalog, or the
+// segment chain grows past MaxSegments, the writer compacts: live records
+// are merged into a fresh base under the router's current order (reusing
+// their prepared verification records) and the segment chain resets to
+// empty. A fresher frequency ranking comes only from the router's order
+// generation swap, which rebuilds every shard under a new order.
 type DynamicIndex struct {
 	joiner *Joiner
 	opts   Options
 	tau    int
 	calc   *core.Calculator
 	cache  *core.PreparedCache
-
-	// planner is the adaptive per-query cost model (nil when Options.Plan is
-	// PlanFixed). Shards of a ShardedIndex share the router's planner — the
-	// corpus statistics and feedback are global.
-	planner *planner.Planner
-
-	// sharedOrder marks a shard of a ShardedIndex: the pebble order is owned
-	// by the router and shared with the sibling shards, so rebuilds compact
-	// this shard under the *same* order (append-only forever) instead of
-	// re-freezing a private one — re-freezing would re-assign IDs other
-	// shards' signatures still reference.
-	sharedOrder bool
 
 	rebuildFraction float64
 	maxSegments     int
@@ -96,7 +82,6 @@ type DynamicIndex struct {
 	dead      []uint64
 	deadCount int
 	positions map[int]int // stable record ID -> position
-	nextID    int
 	rebuilds  int
 	inserts   int
 	// sigLens holds each position's signature length and sigLenLive the
@@ -104,27 +89,17 @@ type DynamicIndex struct {
 	// indexed-side signature length even between rebuilds.
 	sigLens    []int
 	sigLenLive int
-	// dynAtBuild is the order's dynamic-region size when the current base
-	// was adopted, and dynAdded counts the keys *this* index appended since
-	// then. The rebuild trigger fires on dynAdded: in shared-order mode the
-	// region grows from all shards and never resets, so neither its absolute
-	// size nor its growth is attributable to one shard — only the shard's
-	// own interning is (for a standalone index the two coincide).
-	dynAtBuild int
-	dynAdded   int
-	// pauses records the wall-clock duration of every rebuild, i.e. how long
-	// this shard's writers stalled; readers never pause. The serve benchmark
-	// reports their percentiles.
+	// pauses records the wall-clock duration of every compaction, i.e. how
+	// long this shard's writers stalled; readers never pause. The serve
+	// benchmark reports their percentiles.
 	pauses []time.Duration
 	// gen is the router's order generation this shard's base was built
-	// under (0 for a standalone index, which never changes generation). A
-	// ShardedIndex global re-finalize bumps it on every shard while holding
-	// every writer lock, and snapshots use it to detect mixed-generation
-	// view sets.
+	// under. A generation swap bumps it on every shard while holding every
+	// writer lock, and snapshots use it to detect mixed-generation view sets.
 	gen int
 
 	// Cumulative filter-phase work over every probe served against this
-	// index's views (single-record, top-k and batch alike), surfaced
+	// shard's views (single-record, top-k and batch alike), surfaced
 	// through DynamicStats so a serving process can watch the
 	// bitmap-versus-slice mix live. Atomics: probes run concurrently with
 	// each other and with writers.
@@ -162,19 +137,20 @@ type segment struct {
 	inv *invindex.Delta
 }
 
-// DynamicOptions tunes the mutation behaviour of a DynamicIndex on top of
+// DynamicOptions tunes the mutation behaviour of a ShardedIndex on top of
 // the join Options fixed at build time.
 type DynamicOptions struct {
-	// RebuildFraction triggers a re-finalize/rebuild when the dynamically
-	// appended pebble keys exceed this fraction of the frozen order, or
-	// tombstoned records this fraction of the catalog. 0 selects the
-	// default 0.25; negative disables size-triggered rebuilds.
+	// RebuildFraction triggers a global order re-freeze when the dynamically
+	// appended pebble keys reach this fraction of the frozen order, and a
+	// shard compaction when tombstoned records reach this fraction of the
+	// shard's catalog. 0 selects the default 0.25; negative disables both
+	// size-triggered rebuilds.
 	RebuildFraction float64
-	// MaxSegments caps the delta-segment chain length (every Insert call
-	// appends one segment); crossing it triggers a rebuild. 0 selects the
-	// default 64.
+	// MaxSegments caps a shard's delta-segment chain length (every insert
+	// batch appends one segment per touched shard); crossing it triggers a
+	// compaction. 0 selects the default 64.
 	MaxSegments int
-	// CacheSize bounds the prepared-record cache consulted on Insert
+	// CacheSize bounds the prepared-record cache consulted on insert
 	// (core.PreparedCache). 0 selects core.DefaultPreparedCacheSize;
 	// negative disables the cache.
 	CacheSize int
@@ -185,55 +161,32 @@ const (
 	defaultMaxSegments     = 64
 )
 
-// BuildDynamicIndex builds a mutable, concurrently servable index over the
-// records. The join Options (θ, τ, filter method) are fixed for the life of
-// the index, exactly as for BuildIndex.
-func (j *Joiner) BuildDynamicIndex(records []strutil.Record, opts Options, dopts DynamicOptions) *DynamicIndex {
-	return j.buildDynamic(records, nil, opts, dopts, nil, nil)
+// fraction resolves RebuildFraction's default.
+func (o DynamicOptions) fraction() float64 {
+	if o.RebuildFraction == 0 {
+		return defaultRebuildFraction
+	}
+	return o.RebuildFraction
 }
 
-// buildDynamic is the shared constructor of standalone dynamic indexes and
-// ShardedIndex shards. A non-nil order puts the index in shared-order mode
-// (the base is built under it and rebuilds keep it); a non-nil cache
-// overrides DynamicOptions.CacheSize (the router shares one cache across all
-// shards so delete/re-insert churn hits regardless of which shard the
-// record lands on after compaction); a non-nil pl installs the router's
-// shared planner (a standalone index creates its own unless Options.Plan is
-// PlanFixed).
-func (j *Joiner) buildDynamic(records []strutil.Record, order *pebble.Order, opts Options, dopts DynamicOptions, cache *core.PreparedCache, pl *planner.Planner) *DynamicIndex {
+// newShard wraps a base index — built or restored under the router's order
+// — as one shard. cache is the router's prepared-record cache, shared by
+// every shard so delete/re-insert churn hits whichever shard the record
+// lands on. The caller publishes the first View.
+func (j *Joiner) newShard(base *Index, dopts DynamicOptions, cache *core.PreparedCache) *DynamicIndex {
 	dx := &DynamicIndex{
 		joiner:          j,
-		opts:            opts,
-		tau:             opts.tau(),
-		planner:         pl,
-		rebuildFraction: dopts.RebuildFraction,
+		opts:            base.opts,
+		tau:             base.tau,
+		calc:            base.calc,
+		cache:           cache,
+		rebuildFraction: dopts.fraction(),
 		maxSegments:     dopts.MaxSegments,
-	}
-	if dx.planner == nil && opts.Plan != PlanFixed && order == nil {
-		dx.planner = planner.New(opts.Method, dx.tau)
-	}
-	if dx.rebuildFraction == 0 {
-		dx.rebuildFraction = defaultRebuildFraction
 	}
 	if dx.maxSegments <= 0 {
 		dx.maxSegments = defaultMaxSegments
 	}
-	switch {
-	case cache != nil:
-		dx.cache = cache
-	case dopts.CacheSize >= 0:
-		dx.cache = core.NewPreparedCache(dopts.CacheSize)
-	}
-	var base *Index
-	if order != nil {
-		dx.sharedOrder = true
-		base = j.buildIndex(records, order, opts, nil)
-	} else {
-		base = j.BuildIndex(records, opts)
-	}
-	dx.calc = base.calc
 	dx.adoptBaseLocked(base)
-	dx.publishLocked()
 	return dx
 }
 
@@ -248,9 +201,6 @@ func (dx *DynamicIndex) adoptBaseLocked(base *Index) {
 	dx.positions = make(map[int]int, len(base.records))
 	for pos, rec := range base.records {
 		dx.positions[rec.ID] = pos
-		if rec.ID >= dx.nextID {
-			dx.nextID = rec.ID + 1
-		}
 	}
 	dx.sigLens = make([]int, base.sigCount())
 	dx.sigLenLive = 0
@@ -258,14 +208,11 @@ func (dx *DynamicIndex) adoptBaseLocked(base *Index) {
 		dx.sigLens[i] = base.sigLenAt(i)
 		dx.sigLenLive += dx.sigLens[i]
 	}
-	dx.dynAtBuild = base.order.DynamicCount()
-	dx.dynAdded = 0
 }
 
 // publishLocked snapshots the writer state into a fresh immutable View and
 // swaps it in for readers.
 func (dx *DynamicIndex) publishLocked() {
-	frozen := dx.base.order.FrozenKeys()
 	v := &View{
 		dx:       dx,
 		base:     dx.base,
@@ -275,24 +222,16 @@ func (dx *DynamicIndex) publishLocked() {
 		dead:     dx.dead,
 		gen:      dx.gen,
 		stats: DynamicStats{
-			Records:     len(dx.records),
-			Live:        len(dx.records) - dx.deadCount,
-			Dead:        dx.deadCount,
-			Segments:    len(dx.segs),
-			Shards:      1,
-			FrozenKeys:  frozen,
-			DynamicKeys: dx.base.order.DynamicCount(),
-			Rebuilds:    dx.rebuilds,
-			Inserts:     dx.inserts,
-			DenseKeys:   dx.base.inv.DenseKeys(),
-			SparseKeys:  dx.base.inv.SparseKeys(),
-			Theta:       dx.opts.Theta,
-			Tau:         dx.tau,
-			BuildTime:   dx.base.BuildTime,
+			Records:    len(dx.records),
+			Live:       len(dx.records) - dx.deadCount,
+			Dead:       dx.deadCount,
+			Segments:   len(dx.segs),
+			Rebuilds:   dx.rebuilds,
+			Inserts:    dx.inserts,
+			DenseKeys:  dx.base.inv.DenseKeys(),
+			SparseKeys: dx.base.inv.SparseKeys(),
+			BuildTime:  dx.base.BuildTime,
 		},
-	}
-	if dx.cache != nil {
-		v.stats.CacheHits, v.stats.CacheMisses = dx.cache.Stats()
 	}
 	if live := len(dx.records) - dx.deadCount; live > 0 {
 		v.avgSig = float64(dx.sigLenLive) / float64(live)
@@ -300,43 +239,16 @@ func (dx *DynamicIndex) publishLocked() {
 	dx.cur.Store(v)
 }
 
-// Snapshot returns the current immutable View. The View stays fully
-// consistent — and safe for any number of concurrent Query/QueryTopK/Probe
-// calls — no matter what Insert/Remove/rebuild activity follows.
+// Snapshot returns the shard's current immutable View.
 func (dx *DynamicIndex) Snapshot() *View { return dx.cur.Load() }
 
-// Insert appends records to the catalog and returns their stable IDs. New
-// signature keys are interned into the order's dynamic region, the batch's
-// postings become one immutable delta segment, and a new View is published;
-// a rebuild is triggered first when the mutation thresholds are crossed.
-func (dx *DynamicIndex) Insert(raw []string) []int {
-	if len(raw) == 0 {
-		return nil
-	}
+// insertRecords appends records whose stable IDs the router assigned. New
+// signature keys are interned into the shared order's dynamic region, the
+// batch's postings become one immutable delta segment, and a new View is
+// published — compacted first when the segment chain outgrew MaxSegments.
+func (dx *DynamicIndex) insertRecords(recs []strutil.Record) {
 	dx.mu.Lock()
 	defer dx.mu.Unlock()
-	recs := make([]strutil.Record, len(raw))
-	for i, s := range raw {
-		recs[i] = strutil.NewRecord(dx.nextID, s)
-		dx.nextID++
-	}
-	return dx.insertRecordsLocked(recs)
-}
-
-// insertRecords is Insert for records whose stable IDs were assigned by the
-// caller — the sharded router allocates IDs centrally so they stay unique
-// across shards and hash-routable.
-func (dx *DynamicIndex) insertRecords(recs []strutil.Record) []int {
-	if len(recs) == 0 {
-		return nil
-	}
-	dx.mu.Lock()
-	defer dx.mu.Unlock()
-	return dx.insertRecordsLocked(recs)
-}
-
-func (dx *DynamicIndex) insertRecordsLocked(recs []strutil.Record) []int {
-	ids := make([]int, len(recs))
 	delta := invindex.NewDelta()
 	// Generate each record's pebbles once: the whole batch is interned in a
 	// single InternDynamic call (at most one dynamic-table clone), and the
@@ -344,12 +256,9 @@ func (dx *DynamicIndex) insertRecordsLocked(recs []strutil.Record) []int {
 	pebs := make([][]pebble.Pebble, len(recs))
 	segs := make([][]core.Segment, len(recs))
 	for i := range recs {
-		if recs[i].ID >= dx.nextID {
-			dx.nextID = recs[i].ID + 1
-		}
 		pebs[i], segs[i] = dx.joiner.gen.Pebbles(recs[i].Tokens)
 	}
-	dx.dynAdded += dx.base.order.InternDynamic(pebs...)
+	dx.base.order.InternDynamic(pebs...)
 	var idbuf []uint32
 	for i := range recs {
 		pos := len(dx.records)
@@ -362,7 +271,6 @@ func (dx *DynamicIndex) insertRecordsLocked(recs []strutil.Record) []int {
 		dx.records = append(dx.records, recs[i])
 		dx.prepared = append(dx.prepared, dx.calc.PrepareCached(dx.cache, recs[i].Tokens))
 		dx.positions[recs[i].ID] = pos
-		ids[i] = recs[i].ID
 	}
 	for len(dx.dead)*64 < len(dx.records) {
 		dx.dead = append(dx.dead, 0)
@@ -371,126 +279,58 @@ func (dx *DynamicIndex) insertRecordsLocked(recs []strutil.Record) []int {
 	dx.inserts += len(recs)
 	dx.maybeRebuildLocked()
 	dx.publishLocked()
-	return ids
-}
-
-// Remove tombstones the record with the given stable ID. It reports whether
-// the ID was present and live. The record's postings stay in place until
-// the next rebuild; count filtering may still touch them, but candidates
-// are discarded before verification.
-func (dx *DynamicIndex) Remove(id int) bool {
-	dx.mu.Lock()
-	defer dx.mu.Unlock()
-	return dx.removeBatchLocked([]int{id}, nil)
 }
 
 // RemoveBatch tombstones every given stable ID, reporting per ID whether it
-// was present and live. The writer lock is taken once and the tombstone
-// bitmap cloned at most once for the whole batch, so bulk deletions cost one
-// publish instead of one per record.
+// was present and live. The tombstone bitmap is cloned once, before the
+// first bit set (clone-before-set: published Views keep observing the old
+// bitmap), so bulk deletions cost one publish instead of one per record;
+// nothing is published when every ID misses.
 func (dx *DynamicIndex) RemoveBatch(ids []int) []bool {
-	if len(ids) == 0 {
-		return nil
-	}
 	out := make([]bool, len(ids))
 	dx.mu.Lock()
 	defer dx.mu.Unlock()
-	dx.removeBatchLocked(ids, out)
-	return out
-}
-
-// removeBatchLocked tombstones the ids, recording per-id success in out when
-// non-nil, and reports whether any record was removed. The bitmap is cloned
-// once, before the first bit set (clone-before-set: published Views keep
-// observing the old bitmap); nothing is published when every id misses.
-func (dx *DynamicIndex) removeBatchLocked(ids []int, out []bool) bool {
 	var nd []uint64
 	for i, id := range ids {
 		pos, ok := dx.positions[id]
 		if !ok {
 			continue
 		}
-		delete(dx.positions, id)
 		if nd == nil {
-			nd = make([]uint64, len(dx.dead))
-			copy(nd, dx.dead)
+			nd = append([]uint64(nil), dx.dead...)
 		}
-		nd[pos>>6] |= 1 << (uint(pos) & 63)
-		dx.deadCount++
-		dx.sigLenLive -= dx.sigLens[pos]
-		if out != nil {
-			out[i] = true
-		}
+		dx.tombstoneLocked(nd, id, pos)
+		out[i] = true
 	}
-	if nd == nil {
-		return false
+	if nd != nil {
+		dx.dead = nd
+		dx.maybeRebuildLocked()
+		dx.publishLocked()
 	}
-	dx.dead = nd
-	dx.maybeRebuildLocked()
-	dx.publishLocked()
-	return true
+	return out
 }
 
-// maybeRebuildLocked re-finalizes the index when the appended pebble mass,
-// the tombstone mass, or the segment chain crosses its threshold.
+// tombstoneLocked marks the record at pos dead in the bitmap dead.
+func (dx *DynamicIndex) tombstoneLocked(dead []uint64, id, pos int) {
+	delete(dx.positions, id)
+	dead[pos>>6] |= 1 << (uint(pos) & 63)
+	dx.deadCount++
+	dx.sigLenLive -= dx.sigLens[pos]
+}
+
+// maybeRebuildLocked compacts the shard when the segment chain or the
+// tombstone mass crosses its threshold: the live records, with their
+// prepared verification records, become a fresh base under the shard's
+// current order. Stable IDs are preserved; positions are reassigned.
 func (dx *DynamicIndex) maybeRebuildLocked() {
-	if len(dx.segs) > dx.maxSegments {
-		dx.rebuildLocked()
-		return
+	if len(dx.segs) > dx.maxSegments ||
+		(dx.rebuildFraction >= 0 && dx.deadCount > 0 && float64(dx.deadCount) >= dx.rebuildFraction*float64(len(dx.records))) {
+		start := time.Now()
+		live, prep := dx.liveLocked()
+		dx.adoptBaseLocked(dx.joiner.buildIndex(live, dx.base.order, dx.opts, prep))
+		dx.rebuilds++
+		dx.pauses = appendPause(dx.pauses, time.Since(start))
 	}
-	if dx.rebuildFraction < 0 {
-		return
-	}
-	// The trigger compares the keys this index interned since adoption
-	// (dynAdded) against the keys known at adoption. Counting only our own
-	// interning matters for a shard of a ShardedIndex: the shared dynamic
-	// region grows from every sibling's inserts, and triggering on global
-	// growth would make all shards cross the threshold on the same batch
-	// and stall its caller on N correlated rebuilds — exactly the
-	// stop-the-world pause sharding exists to bound. For a standalone index
-	// the order is private, so dynAdded equals the region size and
-	// dynAtBuild is 0: the classic absolute trigger.
-	known := dx.base.order.FrozenKeys() + dx.dynAtBuild
-	if known < 1 {
-		known = 1
-	}
-	if dx.dynAdded > 0 && float64(dx.dynAdded) >= dx.rebuildFraction*float64(known) {
-		dx.rebuildLocked()
-		return
-	}
-	if n := len(dx.records); dx.deadCount > 0 && float64(dx.deadCount) >= dx.rebuildFraction*float64(n) {
-		dx.rebuildLocked()
-	}
-}
-
-// rebuildLocked compacts the live records into a fresh base index, reusing
-// each survivor's prepared verification record. A standalone index freezes a
-// new order (true document frequencies, empty dynamic region); a shard of a
-// ShardedIndex keeps the shared order — re-freezing would re-assign IDs the
-// sibling shards' signatures still reference — and re-selects its signatures
-// under the order's current append-only state, so the compaction win is the
-// dense base (segments merged, tombstones dropped), not a fresher frequency
-// ranking. Stable IDs are preserved; positions are reassigned. The pause is
-// recorded for the serve benchmark's percentiles.
-func (dx *DynamicIndex) rebuildLocked() {
-	start := time.Now()
-	live, prep := dx.liveLocked()
-	order := dx.base.order
-	if !dx.sharedOrder {
-		order = dx.joiner.BuildOrder(live)
-	}
-	base := dx.joiner.buildIndex(live, order, dx.opts, prep)
-	dx.adoptBaseLocked(base)
-	dx.rebuilds++
-	// Re-anchor the planner's feedback table: the corpus its corrections
-	// were learned against was just compacted, and the cached τ suggestion
-	// must track the observed workload instead of silently keeping the
-	// build-time value. Shards of a ShardedIndex skip this — their shared
-	// planner is re-anchored once per global re-finalize by the router.
-	if !dx.sharedOrder {
-		dx.planner.Reanchor()
-	}
-	dx.pauses = appendPause(dx.pauses, time.Since(start))
 }
 
 // maxPauseLog bounds each pause history: a long-running daemon rebuilds
@@ -522,61 +362,47 @@ func (dx *DynamicIndex) liveLocked() ([]strutil.Record, []*core.PreparedRecord) 
 	return live, prep
 }
 
-// refreezeLocked rebuilds this shard's base under a freshly frozen order of
-// a ShardedIndex global re-finalize, stamping the new generation. The caller
-// (the router) holds dx.mu — and every sibling's — for the whole refreeze,
-// so no view mixing old-order bases with the new selector can be published;
-// it also supplies the live records it already collected and logs the whole
-// refreeze as one router-level pause (per-shard entries here would both
-// double-count the stall and hide its corpus-sized total).
+// refreezeLocked rebuilds this shard's base under the order of a new
+// generation, stamping its id. The caller (the router's generation swap)
+// holds dx.mu — and every sibling's — for the whole swap, so no view mixing
+// old-order bases with the new selector can be published; it also supplies
+// the live records it already collected and logs the whole swap as one
+// router-level pause (per-shard entries here would both double-count the
+// stall and hide its corpus-sized total).
 func (dx *DynamicIndex) refreezeLocked(order *pebble.Order, gen int, live []strutil.Record, prep []*core.PreparedRecord) {
-	base := dx.joiner.buildIndex(live, order, dx.opts, prep)
 	dx.gen = gen
-	dx.adoptBaseLocked(base)
-	dx.rebuilds++
+	dx.adoptBaseLocked(dx.joiner.buildIndex(live, order, dx.opts, prep))
 	dx.publishLocked()
 }
 
-// RebuildPauses returns the wall-clock durations of recent rebuilds — the
-// history is capped at maxPauseLog entries — (writer stall per rebuild;
-// readers keep serving the previous view).
-func (dx *DynamicIndex) RebuildPauses() []time.Duration {
-	dx.mu.Lock()
-	defer dx.mu.Unlock()
-	return append([]time.Duration(nil), dx.pauses...)
-}
-
-// Stats returns the statistics of the current snapshot.
-func (dx *DynamicIndex) Stats() DynamicStats { return dx.Snapshot().Stats() }
-
-// DynamicStats describes one published View of a DynamicIndex.
+// DynamicStats describes one snapshot of a ShardedIndex.
 type DynamicStats struct {
 	// Records is the catalog length including tombstones; Live and Dead
 	// split it.
 	Records, Live, Dead int
-	// Segments is the length of the delta-segment chain (one per Insert
-	// batch since the last rebuild); for a ShardedIndex it is summed over
-	// the shards.
+	// Segments is the length of the delta-segment chains (one segment per
+	// touched shard and insert batch since that shard's last rebuild),
+	// summed over the shards.
 	Segments int
-	// Shards is the number of index partitions (1 for a standalone
-	// DynamicIndex).
+	// Shards is the number of index partitions.
 	Shards int
 	// FrozenKeys and DynamicKeys count the interned pebble keys in the
 	// frozen order prefix and the append-only dynamic region.
 	FrozenKeys, DynamicKeys int
-	// Rebuilds counts re-finalize/rebuild cycles; Inserts the records
-	// appended over the index lifetime.
+	// Rebuilds counts shard compactions plus order generation swaps (a
+	// re-freeze or an adopted order); Inserts the records appended over the
+	// index lifetime.
 	Rebuilds, Inserts int
 	// DenseKeys and SparseKeys split the base index's non-empty posting
 	// lists by representation: packed bitmap form (lists past the hybrid
-	// density cutoff) versus sorted slice form. Summed over the shards of a
-	// ShardedIndex (each shard hybridizes its own base).
+	// density cutoff) versus sorted slice form. Summed over the shards (each
+	// shard hybridizes its own base).
 	DenseKeys, SparseKeys int
 	// ProbePostings counts posting entries processed by the count filter
 	// over every probe served since the index was built;
 	// ProbeBitsetTokens and ProbeSliceTokens split the probe signature
 	// tokens by the representation their base posting list was served
-	// from. Summed over the shards of a ShardedIndex.
+	// from. Summed over the shards.
 	ProbePostings     int64
 	ProbeBitsetTokens int64
 	ProbeSliceTokens  int64
@@ -585,13 +411,13 @@ type DynamicStats struct {
 	// built: candidates whose msim matrix was computed, candidates skipped
 	// by the sound upper bounds (O(1) size-ratio bound or the rising top-k
 	// floor), and segment-pair msim evaluations answered from the memo.
-	// Summed over the shards of a ShardedIndex.
+	// Summed over the shards.
 	VerifiedCandidates int64
 	PrunedByBound      int64
 	MemoHits           int64
 	// CacheHits and CacheMisses are the cumulative prepared-record cache
-	// counters (one cache is shared across all shards of a ShardedIndex;
-	// zero when the cache is disabled).
+	// counters (one cache is shared across all shards; zero when the cache
+	// is disabled).
 	CacheHits, CacheMisses uint64
 	// Theta and Tau are the join parameters fixed at build time.
 	Theta float64
@@ -604,19 +430,21 @@ type DynamicStats struct {
 	// decisions, planner fallbacks to the fixed configuration, and feedback
 	// re-anchors after rebuilds; PlanDecisions splits Plans by chosen
 	// configuration ("ufilter/t1", "auheur/t2", "audp/t3", ...). All zero
-	// when planning is disabled. One planner is shared across all shards of
-	// a ShardedIndex, so these are request-level counters, not per-shard.
+	// when planning is disabled. One planner is shared across all shards,
+	// so these are request-level counters, not per-shard.
 	Plans         int64
 	PlanFallbacks int64
 	PlanReanchors int64
 	PlanDecisions map[string]int64
-	// BuildTime is the construction time of the current base index.
+	// BuildTime is the construction time of the slowest shard's current
+	// base index (shards build in parallel).
 	BuildTime time.Duration
 }
 
-// View is one immutable snapshot of a DynamicIndex. All its methods are
-// read-only, lock-free and safe for unbounded concurrency; results reflect
-// exactly the mutations published before Snapshot returned it.
+// View is one immutable snapshot of one shard: the per-shard kernels of the
+// query paths ShardedView fans out. All its methods are read-only, lock-free
+// and safe for unbounded concurrency; results reflect exactly the mutations
+// published before Snapshot returned it.
 type View struct {
 	dx       *DynamicIndex
 	base     *Index
@@ -626,30 +454,9 @@ type View struct {
 	dead     []uint64
 	avgSig   float64 // mean signature length over live records
 	gen      int     // order generation of the base (see DynamicIndex.gen)
-	stats    DynamicStats
-}
-
-// Stats returns the snapshot's statistics.
-func (v *View) Stats() DynamicStats {
-	st := v.stats
-	// The probe tallies are live index-lifetime counters, not snapshot
-	// state: read them fresh so successive Stats calls observe queries
-	// served after the View was published.
-	st.ProbePostings = v.dx.probePostings.Load()
-	st.ProbeBitsetTokens = v.dx.probeBitsetTokens.Load()
-	st.ProbeSliceTokens = v.dx.probeSliceTokens.Load()
-	st.VerifiedCandidates = v.dx.verifyVerified.Load()
-	st.PrunedByBound = v.dx.verifyPruned.Load()
-	st.MemoHits = v.dx.verifyMemoHits.Load()
-	if pl := v.dx.planner; pl != nil {
-		c := pl.Counters()
-		st.SuggestedTau = c.SuggestedTau
-		st.Plans = c.Plans
-		st.PlanFallbacks = c.Fallbacks
-		st.PlanReanchors = c.Reanchors
-		st.PlanDecisions = c.Decisions
-	}
-	return st
+	// stats holds the shard's snapshot-time counts; ShardedView.Stats sums
+	// them and adds the shard's live probe and verify counters.
+	stats DynamicStats
 }
 
 // Record returns the record with the given stable ID, if it is live in this
@@ -781,56 +588,6 @@ func (o Options) thetaFor(qo QueryOpts) float64 {
 // handful of candidates costs more than it saves.
 const minParallelVerify = 64
 
-// ProbeRecord runs the filter-and-verify pipeline for one tokenised query
-// against the snapshot and returns the matching live records — identified
-// by their stable IDs — in ascending ID order.
-func (v *View) ProbeRecord(tokens []string) []QueryMatch {
-	out, _ := v.ProbeRecordCtx(context.Background(), tokens, QueryOpts{})
-	return out
-}
-
-// ProbeRecordCtx is ProbeRecord with cooperative cancellation and
-// per-request options: verification checks ctx between candidates and
-// returns the context error on cancellation. An empty token slice returns
-// an empty result without touching the index (there is no zero-signature
-// probe to run).
-func (v *View) ProbeRecordCtx(ctx context.Context, tokens []string, qo QueryOpts) ([]QueryMatch, error) {
-	if len(tokens) == 0 {
-		return nil, ctx.Err()
-	}
-	start := time.Now()
-	d := v.planRecord(tokens, qo)
-	var ex planner.Exec
-	out, err := v.probeRecordPrepared(ctx, d.Sig, d.Tau, &lazyPrepared{calc: v.dx.calc, tokens: tokens}, qo, &ex)
-	if err != nil {
-		return nil, err
-	}
-	v.dx.planner.ObserveExec(d, &ex, 1, time.Since(start).Nanoseconds())
-	sort.Slice(out, func(a, b int) bool { return out[a].Record < out[b].Record })
-	return out, nil
-}
-
-// planRecord resolves the probe-side configuration and signature for one
-// single-record request: the planner's cheapest sound configuration under
-// PlanAuto, the build-time configuration under PlanFixed or when the index
-// has no planner. Either way the returned decision carries the selected
-// probe signature.
-func (v *View) planRecord(tokens []string, qo QueryOpts) planner.Decision {
-	if qo.ProbeTau > 0 {
-		method, tau := pinnedConfig(qo, v.dx.tau)
-		d := planner.FixedConfig(method, tau)
-		d.Sig = v.base.sel.Signature(tokens, method, tau)
-		return d
-	}
-	pl := v.dx.planner
-	if pl == nil || qo.Plan == PlanFixed {
-		d := planner.FixedConfig(v.dx.opts.Method, v.dx.tau)
-		d.Sig = v.base.sel.Signature(tokens, v.dx.opts.Method, v.dx.tau)
-		return d
-	}
-	return pl.Plan(v.base.sel, v.base.sel.Prepare(tokens), v.base.inv.ListLength, len(v.records))
-}
-
 // pinnedConfig resolves a QueryOpts probe-side override into a sound
 // configuration: τ clamps into [1, τ_build] (larger values would demand
 // overlap the indexed τ_build-signatures never promise) and the U-Filter
@@ -844,26 +601,6 @@ func pinnedConfig(qo QueryOpts, buildTau int) (pebble.Method, int) {
 		tau = 1
 	}
 	return qo.ProbeMethod, tau
-}
-
-// planBatchSample bounds the prepared-probe sample a batch plan evaluates:
-// the plan must stay far cheaper than the batch it steers.
-const planBatchSample = 8
-
-// planBatch resolves one configuration for a whole probe batch from a
-// strided sample of the probe records (batch paths select their signatures
-// after the decision, in the shared signature pass).
-func (v *View) planBatch(records []strutil.Record) planner.Decision {
-	pl := v.dx.planner
-	if pl == nil || len(records) == 0 {
-		return planner.FixedConfig(v.dx.opts.Method, v.dx.tau)
-	}
-	stride := (len(records) + planBatchSample - 1) / planBatchSample
-	pres := make([]pebble.Presig, 0, planBatchSample)
-	for i := 0; i < len(records); i += stride {
-		pres = append(pres, v.base.sel.Prepare(records[i].Tokens))
-	}
-	return pl.PlanBatch(v.base.sel, pres, v.base.inv.ListLength, len(v.records))
 }
 
 // floorTracker is the shared rising floor of one top-k operation: the best
@@ -1003,12 +740,13 @@ func (v *View) verifyTopKParallel(ctx context.Context, ubs []candUB, pq *core.Pr
 	return vt, err
 }
 
-// probeRecordPrepared is ProbeRecordCtx for a ready-made probe signature,
-// its planned overlap constraint and a lazily shared prepared query; results
-// are unordered (the callers sort — the sharded router merges several
-// shards' results first). A non-nil ex accumulates the observed candidate
-// count and verification wall time for the planner's feedback loop (the
-// sharded fan-out hands one ex to every shard).
+// probeRecordPrepared runs one shard's filter-and-verify step of
+// ShardedView.ProbeRecordCtx for a ready-made probe signature, its planned
+// overlap constraint and a lazily shared prepared query; results are
+// unordered (the router merges every shard's results, then sorts). A
+// non-nil ex accumulates the observed candidate count and verification wall
+// time for the planner's feedback loop (the fan-out hands one ex to every
+// shard).
 func (v *View) probeRecordPrepared(ctx context.Context, sig pebble.Signature, tau int, lp *lazyPrepared, qo QueryOpts, ex *planner.Exec) ([]QueryMatch, error) {
 	theta := v.dx.opts.thetaFor(qo)
 	sc := v.scratch()
@@ -1064,35 +802,6 @@ func (v *View) probeRecordPrepared(ctx context.Context, sig pebble.Signature, ta
 		return nil, err
 	}
 	return out, nil
-}
-
-// QueryTopK is ProbeRecord restricted to the k highest-similarity matches:
-// candidates from the thresholded scan are verified through the prepared
-// engine while a bounded min-heap keeps the current top k, so memory stays
-// O(k) however many records clear θ. Results are ordered by descending
-// similarity (ascending ID on ties). k ≤ 0 yields an empty result without
-// touching the index.
-func (v *View) QueryTopK(tokens []string, k int) []QueryMatch {
-	out, _ := v.QueryTopKCtx(context.Background(), tokens, k, QueryOpts{})
-	return out
-}
-
-// QueryTopKCtx is QueryTopK with cooperative cancellation and per-request
-// options. An empty token slice or k ≤ 0 returns an empty result without
-// touching the index.
-func (v *View) QueryTopKCtx(ctx context.Context, tokens []string, k int, qo QueryOpts) ([]QueryMatch, error) {
-	if k <= 0 || len(tokens) == 0 {
-		return nil, ctx.Err()
-	}
-	start := time.Now()
-	d := v.planRecord(tokens, qo)
-	var ex planner.Exec
-	heap, err := v.queryTopKPrepared(ctx, d.Sig, d.Tau, &lazyPrepared{calc: v.dx.calc, tokens: tokens}, k, qo, &ex, nil)
-	if err != nil {
-		return nil, err
-	}
-	v.dx.planner.ObserveExec(d, &ex, 1, time.Since(start).Nanoseconds())
-	return heap.sorted(), nil
 }
 
 // queryTopKPrepared runs the thresholded scan and bounded-heap verification
@@ -1287,46 +996,6 @@ func (h *topKHeap) offer(m QueryMatch, k int) {
 	}
 }
 
-// Probe joins a probe collection against the snapshot, exactly like
-// Index.Probe but over base + segments with tombstones skipped. Pair.S
-// carries stable record IDs of the snapshot's catalog, Pair.T the probe
-// records' IDs; results are sorted by (S, T).
-func (v *View) Probe(records []strutil.Record) ([]Pair, Stats) {
-	start := time.Now()
-	d := v.planBatch(records)
-	sigs := v.dx.joiner.signatures(records, v.base.sel, d.Method, d.Tau)
-	prep := prepareRecords(records, v.dx.calc)
-	pairs, stats := runProbeStages(v.dx.calc, v.dx.opts, v.target(d.Tau), records, sigs, prep, false, time.Since(start))
-	stats.PlanTau = planTauOf(d)
-	v.dx.noteVerify(verifyTally{verified: stats.VerifiedCandidates, pruned: stats.PrunedByBound, memoHits: stats.MemoHits})
-	v.dx.planner.Observe(d, int64(stats.Candidates), stats.VerifiedCandidates, int64(len(records)), stats.VerifyTime.Nanoseconds(), 0)
-	return pairs, stats
-}
-
-// ProbeSeq is the streaming form of Probe: matches are yielded in
-// verification-completion order as they are confirmed, a consumer break
-// stops the pipeline, and a ctx cancellation surfaces as one final error.
-func (v *View) ProbeSeq(ctx context.Context, records []strutil.Record) iter.Seq2[Pair, error] {
-	return pairSeq(ctx, func(ctx context.Context, emit func(Pair) bool) error {
-		return v.probeStream(ctx, records, emit)
-	})
-}
-
-// probeStream generates probe-side signatures and prepared records and runs
-// the streaming pipeline against the snapshot.
-func (v *View) probeStream(ctx context.Context, records []strutil.Record, emit func(Pair) bool) error {
-	start := time.Now()
-	d := v.planBatch(records)
-	sigs := v.dx.joiner.signatures(records, v.base.sel, d.Method, d.Tau)
-	prep := prepareRecords(records, v.dx.calc)
-	stats, err := runProbeStream(ctx, v.dx.calc, v.dx.opts, v.target(d.Tau), records, sigs, prep, false, time.Since(start), emit)
-	v.dx.noteVerify(verifyTally{verified: stats.VerifiedCandidates, pruned: stats.PrunedByBound, memoHits: stats.MemoHits})
-	if err == nil {
-		v.dx.planner.Observe(d, int64(stats.Candidates), stats.VerifiedCandidates, int64(len(records)), stats.VerifyTime.Nanoseconds(), 0)
-	}
-	return err
-}
-
 // planTauOf is the Stats.PlanTau value of a batch decision: the planned τ,
 // or 0 when the batch ran the fixed build-time configuration.
 func planTauOf(d planner.Decision) int {
@@ -1334,27 +1003,6 @@ func planTauOf(d planner.Decision) int {
 		return 0
 	}
 	return d.Tau
-}
-
-// target reduces the snapshot to the probeTarget the shared probe stages
-// need, counting candidates at the batch's planned overlap constraint.
-func (v *View) target(tau int) probeTarget {
-	return probeTarget{
-		records:  v.records,
-		prepared: v.prepared,
-		avgSig:   v.avgSig,
-		candidates: func(ctx context.Context, sigs []pebble.Signature, workers int) ([]pairKey, filterTally, error) {
-			return v.candidates(ctx, sigs, tau, workers)
-		},
-	}
-}
-
-// candidates runs the snapshot count filter for a whole probe collection in
-// parallel (shared strided-worker driver, one pooled scratch per worker).
-func (v *View) candidates(ctx context.Context, sigs []pebble.Signature, tau, workers int) ([]pairKey, filterTally, error) {
-	return parallelCandidates(ctx, len(sigs), len(v.records), workers, &v.dx.pool, func(sc *probeScratch, t int) ([]int32, filterTally) {
-		return v.candidatesRecord(sigs[t], tau, sc)
-	})
 }
 
 // Live returns the snapshot's live records in position order. The slice is

@@ -153,10 +153,7 @@ func TestHybridStaticCandidatesMatchClassic(t *testing.T) {
 // mutate applies the same insert/remove script to a dynamic index: three
 // insert batches (fresh tokens land in the dynamic order region), one
 // scripted remove wave (tombstones), returning the removed IDs.
-func mutate(ix interface {
-	Insert([]string) []int
-	Remove(int) bool
-}, seed int64) []int {
+func mutate(ix *ShardedIndex, seed int64) []int {
 	rng := rand.New(rand.NewSource(seed))
 	var inserted []int
 	for b := 0; b < 3; b++ {
@@ -165,7 +162,7 @@ func mutate(ix interface {
 			extra := fmt.Sprintf("dyn%d_%d_%d", seed, b, rng.Intn(25))
 			batch[i] = fmt.Sprintf("tok%02d tok%02d %s", rng.Intn(60), rng.Intn(60), extra)
 		}
-		inserted = append(inserted, ix.Insert(batch)...)
+		inserted = append(inserted, ix.InsertBatch(batch)...)
 	}
 	var removed []int
 	for i := 0; i < 50; i++ {
@@ -187,8 +184,8 @@ func TestHybridDynamicCandidatesMatchClassic(t *testing.T) {
 	for _, dopts := range []DynamicOptions{{}, {MaxSegments: 2}} {
 		for _, opts := range propConfigs() {
 			name := fmt.Sprintf("%v/θ=%v/maxseg=%d", opts.Method, opts.Theta, dopts.MaxSegments)
-			hd := j.BuildDynamicIndex(recs, opts, dopts)
-			cd := j.BuildDynamicIndex(recs, classic(opts), dopts)
+			hd := j.BuildShardedIndex(recs, 1, opts, dopts)
+			cd := j.BuildShardedIndex(recs, 1, classic(opts), dopts)
 			mutate(hd, 55)
 			mutate(cd, 55)
 			hs, cs := hd.Stats(), cd.Stats()
@@ -200,13 +197,15 @@ func TestHybridDynamicCandidatesMatchClassic(t *testing.T) {
 			}
 
 			hv, cv := hd.Snapshot(), cd.Snapshot()
-			hsigs := j.signatures(probe, hv.base.sel, opts.Method, hd.tau)
-			csigs := j.signatures(probe, cv.base.sel, opts.Method, cd.tau)
-			hc, ht, err := hv.candidates(ctx, hsigs, hd.tau, 4)
+			htgt, _ := hv.probeTarget(hd.tau)
+			ctgt, _ := cv.probeTarget(cd.tau)
+			hsigs := j.signatures(probe, hv.gen.sel, opts.Method, hd.tau)
+			csigs := j.signatures(probe, cv.gen.sel, opts.Method, cd.tau)
+			hc, ht, err := htgt.candidates(ctx, hsigs, 4)
 			if err != nil {
 				t.Fatalf("%s: hybrid candidates: %v", name, err)
 			}
-			cc, ct, err := cv.candidates(ctx, csigs, cd.tau, 4)
+			cc, ct, err := ctgt.candidates(ctx, csigs, 4)
 			if err != nil {
 				t.Fatalf("%s: classic candidates: %v", name, err)
 			}

@@ -145,34 +145,36 @@ func TestIndexReuse(t *testing.T) {
 	}
 }
 
-// TestProbeRecordMatchesProbe checks that single-record probing agrees with
-// collection probing, record by record.
+// TestProbeRecordMatchesProbe checks that single-record serving agrees with
+// the static batch probe, record by record, at every shard count.
 func TestProbeRecordMatchesProbe(t *testing.T) {
 	ctx := paperContext()
 	j := NewJoiner(ctx)
 	s, u := collections()
 	opts := Options{Theta: 0.7, Tau: 2, Method: pebble.AUDP}
-	ix := j.BuildIndex(s, opts)
-	pairs, _ := ix.Probe(u)
-	for ti, rec := range u {
-		var want []QueryMatch
-		for _, p := range pairs {
-			if p.T == ti {
-				want = append(want, QueryMatch{Record: p.S, Similarity: p.Similarity})
+	pairs, _ := j.BuildIndex(s, opts).Probe(u)
+	for _, shards := range []int{1, 3} {
+		v := j.BuildShardedIndex(s, shards, opts, DynamicOptions{}).Snapshot()
+		for ti, rec := range u {
+			var want []QueryMatch
+			for _, p := range pairs {
+				if p.T == ti {
+					want = append(want, QueryMatch{Record: p.S, Similarity: p.Similarity})
+				}
+			}
+			got := v.ProbeRecord(rec.Tokens)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("shards=%d record %d: ProbeRecord = %v, want %v", shards, ti, got, want)
+			}
+			// Pooled scratch must leave no residue between calls.
+			again := v.ProbeRecord(rec.Tokens)
+			if !reflect.DeepEqual(again, got) {
+				t.Errorf("shards=%d record %d: repeated ProbeRecord differs", shards, ti)
 			}
 		}
-		got := ix.ProbeRecord(rec.Tokens)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("record %d: ProbeRecord = %v, want %v", ti, got, want)
+		if got := v.ProbeRecord(nil); len(got) != 0 {
+			t.Errorf("shards=%d: empty query returned %v", shards, got)
 		}
-		// Pooled scratch must leave no residue between calls.
-		again := ix.ProbeRecord(rec.Tokens)
-		if !reflect.DeepEqual(again, got) {
-			t.Errorf("record %d: repeated ProbeRecord differs", ti)
-		}
-	}
-	if got := ix.ProbeRecord(nil); len(got) != 0 {
-		t.Errorf("empty query returned %v", got)
 	}
 }
 

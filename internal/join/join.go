@@ -6,19 +6,21 @@
 //
 // The pipeline is built once and probed many times: BuildIndex interns
 // every pebble into a dense uint32 ID (global frequency order), selects
-// signatures, and materialises the ID-indexed inverted index; Probe,
-// ProbeRecord and SelfJoin then generate candidates with per-probe-record
-// count arrays (classic count filtering) — no string hashing and no
-// map[pair]int in the hot path. Join and SelfJoin are thin compositions of
-// these stages, and FilterProfile re-derives signatures for many τ values
-// from one prepared pebble set (used by the Section 4 estimator).
+// signatures, and materialises the ID-indexed inverted index; Probe and
+// SelfJoin then generate candidates with per-probe-record count arrays
+// (classic count filtering) — no string hashing and no map[pair]int in the
+// hot path. Join and SelfJoin are thin compositions of these stages, and
+// FilterProfile re-derives signatures for many τ values from one prepared
+// pebble set (used by the Section 4 estimator).
 //
-// DynamicIndex extends the pipeline to online serving: the frozen base
-// Index plus immutable delta segments for inserted records, a tombstone
-// bitmap for removed ones, and snapshot Views published by atomic pointer
-// swap so queries run lock-free while the catalog mutates (the paper fixes
-// both collections up front; the dynamic layer is this implementation's
-// extension for the serving workload — see ARCHITECTURE.md).
+// ShardedIndex extends the pipeline to online serving: it owns the pebble
+// order and routes records to DynamicIndex shards, each a frozen base Index
+// plus immutable delta segments for inserted records and a tombstone bitmap
+// for removed ones, with snapshot Views published by atomic pointer swap so
+// queries — all through ShardedView — run lock-free while the catalog
+// mutates (the paper fixes both collections up front; the dynamic layer is
+// this implementation's extension for the serving workload — see
+// ARCHITECTURE.md).
 package join
 
 import (
@@ -64,9 +66,9 @@ type Stats struct {
 	// Candidates is V_τ: the number of distinct pairs that reached
 	// verification (distinct unordered pairs for self-joins).
 	Candidates int
-	// ShardCandidates breaks Candidates down per shard on a sharded probe
-	// (ShardedView.Probe across ≥ 2 shards); its entries sum to Candidates.
-	// It is nil on unsharded paths.
+	// ShardCandidates breaks Candidates down per shard on a ShardedView
+	// probe (one entry per shard, one shard included); its entries sum to
+	// Candidates. It is nil on static Index paths.
 	ShardCandidates []int
 	// BitsetTokens and SliceTokens split the probe-token lookups of the
 	// filter stage by posting representation: tokens whose base posting list
@@ -475,37 +477,6 @@ func runProbeStages(calc *core.Calculator, opts Options, tgt probeTarget, record
 type QueryMatch struct {
 	Record     int
 	Similarity float64
-}
-
-// ProbeRecord runs the full filter-and-verify pipeline for one tokenised
-// query against the prebuilt index and returns the matching indexed records
-// in ascending record order. The query is prepared once and verified against
-// the index's prepared records through the thresholded engine with pooled
-// scratch, so a query-serving workload allocates only for the query
-// preparation and its results.
-func (ix *Index) ProbeRecord(tokens []string) []QueryMatch {
-	if len(tokens) == 0 {
-		// No tokens means a zero-signature probe that could never reach the
-		// τ-overlap bar; return empty without walking the index.
-		return nil
-	}
-	sig := ix.sel.Signature(tokens, ix.opts.Method, ix.tau)
-	sc := scratchFromPool(&ix.scratch, len(ix.records))
-	cands, _ := countFilterRecord(ix.inv, sig, ix.tau, len(ix.records), sc)
-	var out []QueryMatch
-	if len(cands) > 0 {
-		pq := ix.calc.Prepare(tokens)
-		sim := sc.simScratch()
-		sim.DisableMemo = ix.opts.NoVerifyMemo
-		for _, r := range cands {
-			if v, ok := ix.calc.VerifyPrepared(ix.prepared[r], pq, ix.opts.Theta, sim); ok {
-				out = append(out, QueryMatch{Record: int(r), Similarity: v})
-			}
-		}
-	}
-	sc.release(&ix.scratch)
-	sort.Slice(out, func(a, b int) bool { return out[a].Record < out[b].Record })
-	return out
 }
 
 // candidates runs count filtering of probe signatures against the index.

@@ -16,7 +16,7 @@ import (
 // the shared pebble order, every record (live and tombstoned) with its
 // stored signature-ID multiset and prepared-segment metadata, the flat
 // tombstone bitmap and the planner's feedback table. The capture runs under
-// every shard's writer lock (and the refreeze mutex), so it is one atomic
+// every shard's writer lock (and the swap mutex), so it is one atomic
 // cut across shards — exactly the guarantee Snapshot relaxes for serving —
 // and is therefore safe to pair with a WAL: every mutation is either in the
 // capture or logged after it, never half of each.
@@ -27,24 +27,11 @@ import (
 // shard's position order IS its ascending-ID order and re-partitioning the
 // flat list recovers it.
 func (sx *ShardedIndex) CaptureSnapshot() *store.Snapshot {
-	sx.refreezeMu.Lock()
-	defer sx.refreezeMu.Unlock()
-	for _, sh := range sx.shards {
-		sh.mu.Lock()
-	}
-	defer func() {
-		for _, sh := range sx.shards {
-			sh.mu.Unlock()
-		}
-	}()
+	unlock := sx.lockAll()
+	defer unlock()
 	sx.mu.Lock()
 	nextID := sx.nextID
 	sx.mu.Unlock()
-
-	order := sx.shards[0].base.order
-	if g := sx.gen.Load(); g != nil {
-		order = g.order
-	}
 
 	snap := &store.Snapshot{
 		Theta:         sx.opts.Theta,
@@ -54,7 +41,7 @@ func (sx *ShardedIndex) CaptureSnapshot() *store.Snapshot {
 		ClassicFilter: sx.opts.ClassicFilter,
 		Shards:        len(sx.shards),
 		NextID:        uint64(nextID),
-		Order:         exportOrder(order),
+		Order:         exportOrder(sx.gen.Load().order),
 		Planner:       plannerToData(sx.planner.Export()),
 	}
 
@@ -198,20 +185,14 @@ func (j *Joiner) RestoreShardedIndex(snap *store.Snapshot, dopts DynamicOptions)
 	}
 
 	shards := snap.Shards
-	sx := &ShardedIndex{joiner: j, opts: opts, tau: opts.tau(), nextID: int(snap.NextID)}
-	if opts.Plan != PlanFixed {
-		sx.planner = planner.New(opts.Method, sx.tau)
-		if st := plannerFromData(snap.Planner); st != nil {
-			// A mismatched table (snapshot from another configuration) leaves
-			// the planner cold, which is safe: planner state is a warm-start
-			// optimization, never a correctness input.
-			_ = sx.planner.Import(st)
-		}
+	sx := j.newShardedIndex(opts, dopts)
+	sx.nextID = int(snap.NextID)
+	if st := plannerFromData(snap.Planner); st != nil && sx.planner != nil {
+		// A mismatched table (snapshot from another configuration) leaves
+		// the planner cold, which is safe: planner state is a warm-start
+		// optimization, never a correctness input.
+		_ = sx.planner.Import(st)
 	}
-	if dopts.CacheSize >= 0 {
-		sx.cache = core.NewPreparedCache(dopts.CacheSize)
-	}
-	sx.noRefreeze.Store(dopts.RebuildFraction < 0)
 
 	// Re-tokenize and rehydrate the prepared records in parallel; both are
 	// deterministic functions of the raw text and the similarity context.
@@ -268,19 +249,20 @@ func (j *Joiner) RestoreShardedIndex(snap *store.Snapshot, dopts DynamicOptions)
 		}
 	}
 
-	var sharedOrder *pebble.Order
-	if shards > 1 {
-		sharedOrder = order
-	}
+	sx.gen.Store(&orderGen{order: order, sel: pebble.NewSelector(j.gen, order, opts.Theta)})
 	sx.shards = make([]*DynamicIndex, shards)
 	parallelFor(shards, shards, func(w int) {
 		p := &parts[w]
-		base := j.restoreBase(p.records, p.sigIDs, p.prepared, order, opts)
-		sx.shards[w] = j.restoreDynamic(base, sharedOrder != nil, opts, dopts, sx.cache, sx.planner, p.deadIDs)
+		dx := j.newShard(j.restoreBase(p.records, p.sigIDs, p.prepared, order, opts), dopts, sx.cache)
+		// The restored base holds every record — live and dead — at its
+		// original position, so the dead bits land on the same positions the
+		// original index had them and the posting lists match entry for entry.
+		for _, id := range p.deadIDs {
+			dx.tombstoneLocked(dx.dead, id, dx.positions[id])
+		}
+		dx.publishLocked()
+		sx.shards[w] = dx
 	})
-	if sharedOrder != nil {
-		sx.gen.Store(&orderGen{order: sharedOrder, sel: pebble.NewSelector(j.gen, sharedOrder, opts.Theta)})
-	}
 	return sx, nil
 }
 
@@ -326,40 +308,6 @@ func (j *Joiner) restoreBase(records []strutil.Record, sigIDs [][]uint32, prepar
 		ix.avgSig = float64(totalLen) / float64(len(records))
 	}
 	return ix
-}
-
-// restoreDynamic wraps a restored base as one dynamic shard and re-applies
-// its tombstones. The restored base holds every record — live and dead — at
-// its original position, so the dead bits land on the same positions the
-// original index had them and the posting lists match entry for entry.
-func (j *Joiner) restoreDynamic(base *Index, shared bool, opts Options, dopts DynamicOptions, cache *core.PreparedCache, pl *planner.Planner, deadIDs []int) *DynamicIndex {
-	dx := &DynamicIndex{
-		joiner:          j,
-		opts:            opts,
-		tau:             opts.tau(),
-		calc:            base.calc,
-		cache:           cache,
-		planner:         pl,
-		sharedOrder:     shared,
-		rebuildFraction: dopts.RebuildFraction,
-		maxSegments:     dopts.MaxSegments,
-	}
-	if dx.rebuildFraction == 0 {
-		dx.rebuildFraction = defaultRebuildFraction
-	}
-	if dx.maxSegments <= 0 {
-		dx.maxSegments = defaultMaxSegments
-	}
-	dx.adoptBaseLocked(base)
-	for _, id := range deadIDs {
-		pos := dx.positions[id]
-		delete(dx.positions, id)
-		dx.dead[pos>>6] |= 1 << (uint(pos) & 63)
-		dx.deadCount++
-		dx.sigLenLive -= dx.sigLens[pos]
-	}
-	dx.publishLocked()
-	return dx
 }
 
 // plannerToData converts an exported planner state into its snapshot form.

@@ -14,24 +14,16 @@ import (
 
 // This file pins the adaptive planner's exactness contract: for every filter
 // method, threshold and serving path (static snapshot, post-mutation
-// snapshot, sharded fan-out), queries executed under PlanAuto must return
+// snapshot, 3-shard fan-out), queries executed under PlanAuto must return
 // bit-identical results to the fixed build-time configuration. The planner
 // is only allowed to change how much the candidate phase over-admits — never
 // what survives exact verification.
-
-// queryView is the slice of View/ShardedView the equivalence tests drive.
-type queryView interface {
-	ProbeRecordCtx(ctx context.Context, tokens []string, qo QueryOpts) ([]QueryMatch, error)
-	QueryTopKCtx(ctx context.Context, tokens []string, k int, qo QueryOpts) ([]QueryMatch, error)
-	Probe(records []strutil.Record) ([]Pair, Stats)
-	Stats() DynamicStats
-}
 
 // plannerScenario builds an auto-planned index and a fixed-plan twin over the
 // same corpus and mutation script, returning snapshots of both.
 type plannerScenario struct {
 	name  string
-	build func(j *Joiner, recs []strutil.Record, opts Options) (auto, fixed queryView)
+	build func(j *Joiner, recs []strutil.Record, opts Options) (auto, fixed *ShardedView)
 }
 
 func plannerScenarios() []plannerScenario {
@@ -40,20 +32,20 @@ func plannerScenarios() []plannerScenario {
 		return opts
 	}
 	return []plannerScenario{
-		{"static", func(j *Joiner, recs []strutil.Record, opts Options) (queryView, queryView) {
-			return j.BuildDynamicIndex(recs, opts, DynamicOptions{}).Snapshot(),
-				j.BuildDynamicIndex(recs, fixedOpts(opts), DynamicOptions{}).Snapshot()
+		{"static", func(j *Joiner, recs []strutil.Record, opts Options) (*ShardedView, *ShardedView) {
+			return j.BuildShardedIndex(recs, 1, opts, DynamicOptions{}).Snapshot(),
+				j.BuildShardedIndex(recs, 1, fixedOpts(opts), DynamicOptions{}).Snapshot()
 		}},
-		{"mutated", func(j *Joiner, recs []strutil.Record, opts Options) (queryView, queryView) {
-			// MaxSegments 2 forces rebuilds mid-script, so the planned paths
-			// run against re-finalized snapshots with re-anchored feedback.
-			ad := j.BuildDynamicIndex(recs, opts, DynamicOptions{MaxSegments: 2})
-			fd := j.BuildDynamicIndex(recs, fixedOpts(opts), DynamicOptions{MaxSegments: 2})
+		{"mutated", func(j *Joiner, recs []strutil.Record, opts Options) (*ShardedView, *ShardedView) {
+			// MaxSegments 2 forces compactions mid-script, so the planned
+			// paths run against rebuilt snapshots.
+			ad := j.BuildShardedIndex(recs, 1, opts, DynamicOptions{MaxSegments: 2})
+			fd := j.BuildShardedIndex(recs, 1, fixedOpts(opts), DynamicOptions{MaxSegments: 2})
 			mutate(ad, 7)
 			mutate(fd, 7)
 			return ad.Snapshot(), fd.Snapshot()
 		}},
-		{"sharded", func(j *Joiner, recs []strutil.Record, opts Options) (queryView, queryView) {
+		{"sharded", func(j *Joiner, recs []strutil.Record, opts Options) (*ShardedView, *ShardedView) {
 			ax := j.BuildShardedIndex(recs, 3, opts, DynamicOptions{})
 			fx := j.BuildShardedIndex(recs, 3, fixedOpts(opts), DynamicOptions{})
 			mutate(ax, 7)
@@ -224,7 +216,7 @@ func TestPlannedQueriesRaceHammer(t *testing.T) {
 			default:
 			}
 			raw := fmt.Sprintf("tok%02d tok%02d hammer%d", rng.Intn(60), rng.Intn(60), i)
-			live = append(live, sx.Insert([]string{raw})...)
+			live = append(live, sx.InsertBatch([]string{raw})...)
 			if len(live) > 16 {
 				k := rng.Intn(len(live))
 				sx.Remove(live[k])

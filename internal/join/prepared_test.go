@@ -50,22 +50,25 @@ func TestPreparedVerifyMatchesTokensOracle(t *testing.T) {
 }
 
 // TestProbeRecordMatchesOracle checks single-record serving returns exactly
-// the indexed records the raw similarity reaches θ with.
+// the indexed records the raw similarity reaches θ with, at every shard
+// count.
 func TestProbeRecordMatchesOracle(t *testing.T) {
 	j := NewJoiner(paperContext())
 	s := benchCorpus(80, 41)
-	ix := j.BuildIndex(s, Options{Theta: 0.8, Tau: 2, Method: pebble.AUDP})
 	probes := benchCorpus(20, 42)
-	for _, p := range probes {
-		got := ix.ProbeRecord(p.Tokens)
-		var want []QueryMatch
-		for r := range s {
-			if v := j.Calculator().SimilarityTokens(s[r].Tokens, p.Tokens); v >= 0.8 {
-				want = append(want, QueryMatch{Record: r, Similarity: v})
+	for _, shards := range []int{1, 3} {
+		v := j.BuildShardedIndex(s, shards, Options{Theta: 0.8, Tau: 2, Method: pebble.AUDP}, DynamicOptions{}).Snapshot()
+		for _, p := range probes {
+			got := v.ProbeRecord(p.Tokens)
+			var want []QueryMatch
+			for r := range s {
+				if val := j.Calculator().SimilarityTokens(s[r].Tokens, p.Tokens); val >= 0.8 {
+					want = append(want, QueryMatch{Record: s[r].ID, Similarity: val})
+				}
 			}
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("ProbeRecord(%v) = %v, want %v", p.Raw, got, want)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("shards=%d: ProbeRecord(%v) = %v, want %v", shards, p.Raw, got, want)
+			}
 		}
 	}
 }

@@ -19,43 +19,37 @@ import (
 // so that mutations parallelize and rebuild pauses are bounded by shard
 // size, not corpus size. Records are routed by hashing their stable ID;
 // every shard has its own writer mutex, snapshot View, tombstone bitmap and
-// rebuild thresholds, so inserts and removes on different shards proceed in
-// parallel and a threshold-crossing rebuild compacts one shard while the
-// other N−1 keep serving unchanged.
+// compaction thresholds, so inserts and removes on different shards proceed
+// in parallel and a threshold-crossing compaction rebuilds one shard while
+// the other N−1 keep serving unchanged. N = 1 is the same router with one
+// shard; there is no separate single-shard engine.
 //
-// All shards share one global pebble frequency order (pebble.Order), which
-// is what keeps signatures comparable across shards: signature selection and
-// the ≥τ-overlap count filter depend only on the order, so a record's
-// signature is the same whichever shard holds it, and the union of per-shard
-// probe results is exactly the unsharded result. InternDynamic calls from
+// The router is the only owner of the global pebble frequency order
+// (pebble.Order), at every shard count. Sharing one order is what keeps
+// signatures comparable across shards: signature selection and the
+// ≥τ-overlap count filter depend only on the order, so a record's signature
+// is the same whichever shard holds it, and the union of per-shard probe
+// results is exactly the unsharded result. InternDynamic calls from
 // concurrently mutating shards serialize on the order's own small mutex,
-// decoupled from the shard writer locks. A consequence of sharing is that
-// per-shard rebuilds never re-freeze the order — the dynamic region is
-// append-only for the router's lifetime and frequency selectivity degrades
-// with it; what a shard rebuild restores is a dense compacted base (segments
-// merged, tombstones dropped).
+// decoupled from the shard writer locks. Shard compactions never touch the
+// order; they merge segments and drop tombstones under it.
 //
-// Because per-shard rebuilds keep the shared order, its dynamic region
-// would otherwise grow for the router's lifetime (degrading filter
-// selectivity and inflating every shard's dense posting-array universe).
-// A rare *global re-finalize* bounds that: once the dynamic region grows
-// as large as the frozen prefix, the router takes every shard's writer
-// lock, freezes a fresh order over all live records and rebuilds every
-// shard under it — the one deliberate stop-the-world pause for writers,
-// amortized over at least a doubling of the key universe. Generations make
-// it safe for concurrent readers: every shard view is stamped with the
-// order generation of its base and Snapshot only returns
+// New keys land in the order's append-only dynamic region, which degrades
+// filter selectivity as it grows. The router bounds it with one trigger:
+// once the region reaches RebuildFraction of the frozen prefix, a
+// generation swap takes every shard's writer lock, freezes a fresh order
+// over all live records and rebuilds every shard under it — the one
+// deliberate stop-the-world pause for writers. AdoptOrder runs the same
+// swap with an order built elsewhere (a cluster epoch bump). Generations
+// make the swap safe for concurrent readers: every shard view is stamped
+// with the order generation of its base and Snapshot only returns
 // single-generation view sets, so a fan-out query never mixes signatures
-// of one order with posting lists of another; while the re-finalize is in
-// flight, readers are served the cached pre-refreeze snapshot instead of
-// blocking.
+// of one order with posting lists of another; while the swap is in flight,
+// readers are served the cached pre-swap snapshot instead of blocking.
 //
 // One core.PreparedCache is shared across all shards: delete/re-insert
 // churn routes a re-ingested record by its new ID, which may hash to a
 // different shard, and a per-shard cache would miss there.
-//
-// With N = 1 the router degenerates to a single standalone DynamicIndex
-// (private order, re-freezing rebuilds) — exactly the pre-sharding engine.
 type ShardedIndex struct {
 	joiner *Joiner
 	opts   Options
@@ -69,19 +63,18 @@ type ShardedIndex struct {
 	// Options.Plan is PlanFixed.
 	planner *planner.Planner
 
-	// gen is the current order generation (nil for the single legacy shard,
-	// which owns and re-freezes a private order). Replaced wholesale by a
-	// global re-finalize; refreezeMu serializes re-finalizes. lastView is
-	// the freshest generation-consistent snapshot, refreshed at the start
-	// of every re-finalize (under all writer locks, so it is exactly the
-	// pre-refreeze state) — readers are served from it while the
-	// re-finalize runs instead of blocking.
-	gen            atomic.Pointer[orderGen]
-	refreezeMu     sync.Mutex
-	refreezes      int             // guarded by refreezeMu
-	refreezePauses []time.Duration // guarded by refreezeMu; whole-refreeze writer stalls
-	noRefreeze     atomic.Bool     // set at build, or at runtime by AdoptOrder/DisableRefreeze
-	lastView       atomic.Pointer[ShardedView]
+	// gen is the current order generation; its id counts the swaps so far.
+	// Replaced wholesale by a generation swap; swapMu serializes swaps with
+	// each other and with every other all-shard cut. lastView is the
+	// pre-swap snapshot, cached under all writer locks at the start of a
+	// swap — readers are served from it while the swap runs instead of
+	// blocking.
+	gen             atomic.Pointer[orderGen]
+	swapMu          sync.Mutex
+	swapPauses      []time.Duration // guarded by swapMu; whole-swap writer stalls
+	rebuildFraction float64
+	noRefreeze      atomic.Bool // set at build, or at runtime by AdoptOrder/DisableRefreeze
+	lastView        atomic.Pointer[ShardedView]
 
 	mu     sync.Mutex // guards nextID only; never held during shard work
 	nextID int
@@ -100,23 +93,31 @@ type orderGen struct {
 	id    int
 }
 
-// BuildShardedIndex builds a partitioned dynamic index over the records.
-// shards ≤ 0 selects GOMAXPROCS. The join Options are fixed for the life of
-// the index, exactly as for BuildDynamicIndex; DynamicOptions apply to every
-// shard (thresholds are evaluated against per-shard sizes, so rebuild work
-// is bounded by the shard, and the CacheSize bounds the one cache shared by
-// all shards).
-func (j *Joiner) BuildShardedIndex(records []strutil.Record, shards int, opts Options, dopts DynamicOptions) *ShardedIndex {
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	sx := &ShardedIndex{joiner: j, opts: opts, tau: opts.tau()}
+// newShardedIndex sets up the router state every constructor shares; the
+// caller installs the shards and the first generation.
+func (j *Joiner) newShardedIndex(opts Options, dopts DynamicOptions) *ShardedIndex {
+	sx := &ShardedIndex{joiner: j, opts: opts, tau: opts.tau(), rebuildFraction: dopts.fraction()}
 	if opts.Plan != PlanFixed {
 		sx.planner = planner.New(opts.Method, sx.tau)
 	}
 	if dopts.CacheSize >= 0 {
 		sx.cache = core.NewPreparedCache(dopts.CacheSize)
 	}
+	sx.noRefreeze.Store(sx.rebuildFraction < 0)
+	return sx
+}
+
+// BuildShardedIndex builds a partitioned dynamic index over the records.
+// shards ≤ 0 selects GOMAXPROCS. The join Options (θ, τ, filter method) are
+// fixed for the life of the index, exactly as for BuildIndex; DynamicOptions
+// apply to every shard (compaction thresholds are evaluated against
+// per-shard sizes, so rebuild work is bounded by the shard, and the
+// CacheSize bounds the one cache shared by all shards).
+func (j *Joiner) BuildShardedIndex(records []strutil.Record, shards int, opts Options, dopts DynamicOptions) *ShardedIndex {
+	if shards <= 0 {
+		shards = runtime.GOMAXPROCS(0)
+	}
+	sx := j.newShardedIndex(opts, dopts)
 	parts := make([][]strutil.Record, shards)
 	for _, rec := range records {
 		w := shardOf(rec.ID, shards)
@@ -125,28 +126,15 @@ func (j *Joiner) BuildShardedIndex(records []strutil.Record, shards int, opts Op
 			sx.nextID = rec.ID + 1
 		}
 	}
-	var order *pebble.Order
-	if shards > 1 {
-		// The shared order spans the whole corpus so document frequencies —
-		// and therefore signatures — are identical to the unsharded build.
-		order = j.BuildOrder(records)
-		order.Finalize()
-	}
-	sx.noRefreeze.Store(dopts.RebuildFraction < 0)
+	// The shared order spans the whole corpus so document frequencies —
+	// and therefore signatures — are identical to the unsharded build.
+	order := j.BuildOrder(records)
+	sx.gen.Store(&orderGen{order: order, sel: pebble.NewSelector(j.gen, order, opts.Theta)})
 	sx.shards = make([]*DynamicIndex, shards)
 	parallelFor(shards, shards, func(w int) {
-		sx.shards[w] = j.buildDynamic(parts[w], order, opts, dopts, sx.cache, sx.planner)
+		sx.shards[w] = j.newShard(j.buildIndex(parts[w], order, opts, nil), dopts, sx.cache)
+		sx.shards[w].publishLocked()
 	})
-	// The generation stays nil for the single legacy shard: it owns a
-	// private order that re-freezing rebuilds replace, so a router-held
-	// reference would go stale — every read path delegates to the shard
-	// instead, and a future misuse fails fast rather than probing under a
-	// dead order.
-	if order != nil {
-		// id 0 matches the zero-value generation stamp every freshly built
-		// shard publishes.
-		sx.gen.Store(&orderGen{order: order, sel: pebble.NewSelector(j.gen, order, opts.Theta)})
-	}
 	return sx
 }
 
@@ -165,10 +153,7 @@ func shardOf(id, shards int) int {
 func (sx *ShardedIndex) Shards() int { return len(sx.shards) }
 
 // InsertBatch appends records to the catalog and returns their stable IDs
-// (assigned centrally, so they are unique across shards). The batch is
-// grouped by destination shard and the groups are inserted concurrently,
-// each taking its shard's writer lock exactly once; shards untouched by the
-// batch never block, and neither do readers anywhere.
+// (assigned centrally, so they are unique across shards).
 func (sx *ShardedIndex) InsertBatch(raw []string) []int {
 	if len(raw) == 0 {
 		return nil
@@ -179,118 +164,134 @@ func (sx *ShardedIndex) InsertBatch(raw []string) []int {
 	sx.mu.Unlock()
 
 	ids := make([]int, len(raw))
-	groups := make([][]strutil.Record, len(sx.shards))
+	recs := make([]strutil.Record, len(raw))
 	for i, s := range raw {
-		id := startID + i
-		ids[i] = id
-		w := shardOf(id, len(sx.shards))
-		groups[w] = append(groups[w], strutil.NewRecord(id, s))
+		ids[i] = startID + i
+		recs[i] = strutil.NewRecord(ids[i], s)
+	}
+	sx.insertRouted(recs)
+	return ids
+}
+
+// insertRouted groups records by destination shard and inserts the groups
+// concurrently, each taking its shard's writer lock exactly once; shards
+// untouched by the batch never block, and neither do readers anywhere.
+// Inserts are the only source of new keys, so the re-freeze trigger is
+// checked here.
+func (sx *ShardedIndex) insertRouted(recs []strutil.Record) {
+	groups := make([][]strutil.Record, len(sx.shards))
+	for _, rec := range recs {
+		w := shardOf(rec.ID, len(sx.shards))
+		groups[w] = append(groups[w], rec)
 	}
 	sx.runShards(nonEmptyShards(len(groups), func(w int) bool { return len(groups[w]) > 0 }), func(w int) {
 		sx.shards[w].insertRecords(groups[w])
 	})
 	sx.maybeRefreeze()
-	return ids
 }
 
-// maybeRefreeze triggers a global re-finalize of the shared order once its
-// append-only dynamic region has grown as large as the frozen prefix —
-// i.e. the key universe at least doubled since the last freeze, so the
-// stop-the-world cost is amortized over that growth. Inserts are the only
-// source of new keys, so this is checked after each InsertBatch.
-func (sx *ShardedIndex) maybeRefreeze() {
-	g := sx.gen.Load()
-	if g == nil || sx.noRefreeze.Load() {
-		return
-	}
+// needsRefreeze reports whether the generation's dynamic region has reached
+// RebuildFraction of its frozen prefix.
+func (sx *ShardedIndex) needsRefreeze(g *orderGen) bool {
 	frozen := g.order.FrozenKeys()
 	if frozen < 1 {
 		frozen = 1
 	}
-	if g.order.DynamicCount() < frozen {
+	dyn := g.order.DynamicCount()
+	return dyn > 0 && float64(dyn) >= sx.rebuildFraction*float64(frozen)
+}
+
+// maybeRefreeze swaps in a fresh order frozen over the live records once
+// the dynamic region has grown past the trigger.
+func (sx *ShardedIndex) maybeRefreeze() {
+	if sx.noRefreeze.Load() || !sx.needsRefreeze(sx.gen.Load()) {
 		return
 	}
-	sx.refreezeMu.Lock()
-	defer sx.refreezeMu.Unlock()
-	// Re-check against the current generation: a concurrent InsertBatch may
-	// have completed the refreeze while this one waited on the mutex.
-	g = sx.gen.Load()
-	frozen = g.order.FrozenKeys()
-	if frozen < 1 {
-		frozen = 1
-	}
-	if g.order.DynamicCount() < frozen {
+	unlock := sx.lockAll()
+	defer unlock()
+	// Re-check under the locks: a concurrent insert may have completed the
+	// swap, or AdoptOrder may have taken the order over, while this one
+	// waited.
+	if sx.noRefreeze.Load() || !sx.needsRefreeze(sx.gen.Load()) {
 		return
 	}
-	// Stop the world for writers: every shard's writer lock is held while
-	// all live records are collected, a fresh order frozen over them (true
-	// document frequencies, empty dynamic region) and every shard rebuilt
-	// under it with the bumped generation. Readers never stall: Snapshot
-	// serves the pre-refreeze view cached below until the new generation is
-	// fully published.
-	start := time.Now()
+	sx.swapLocked(func(live []strutil.Record) *pebble.Order {
+		return sx.joiner.BuildOrder(live)
+	})
+}
+
+// lockAll takes the swap mutex and every shard's writer lock — one atomic
+// cut across shards — and returns the matching unlock.
+func (sx *ShardedIndex) lockAll() (unlock func()) {
+	sx.swapMu.Lock()
 	for _, sh := range sx.shards {
 		sh.mu.Lock()
 	}
-	defer func() {
+	return func() {
 		for _, sh := range sx.shards {
 			sh.mu.Unlock()
 		}
-	}()
+		sx.swapMu.Unlock()
+	}
+}
+
+// liveLocked collects every shard's live records and prepared verification
+// records (per shard, in position order) plus their concatenation. The
+// caller holds lockAll.
+func (sx *ShardedIndex) liveLocked() (live [][]strutil.Record, prep [][]*core.PreparedRecord, flat []strutil.Record) {
+	live = make([][]strutil.Record, len(sx.shards))
+	prep = make([][]*core.PreparedRecord, len(sx.shards))
+	for w, sh := range sx.shards {
+		live[w], prep[w] = sh.liveLocked()
+		flat = append(flat, live[w]...)
+	}
+	return live, prep, flat
+}
+
+// swapLocked is the order generation swap, the one way the pebble order
+// ever changes: with every writer stalled (the caller holds lockAll) it
+// caches the pre-swap view for readers, collects the live records, takes
+// the next order from next, rebuilds every shard under it with the bumped
+// generation, publishes, and re-anchors the planner once. Readers never
+// stall: Snapshot serves the cached view until the new generation is fully
+// published.
+func (sx *ShardedIndex) swapLocked(next func(live []strutil.Record) *pebble.Order) {
+	start := time.Now()
+	g := sx.gen.Load()
 	// With all writer locks held the current per-shard views are the exact
-	// pre-refreeze state and necessarily one generation — cache them for
-	// readers arriving mid-refreeze.
+	// pre-swap state and necessarily one generation.
 	pre := make([]*View, len(sx.shards))
 	for w, sh := range sx.shards {
 		pre[w] = sh.Snapshot()
 	}
 	sx.lastView.Store(newShardedView(sx, g, pre))
-	// One live scan serves both the global order build and the per-shard
-	// base rebuilds.
-	liveAll := make([][]strutil.Record, len(sx.shards))
-	prepAll := make([][]*core.PreparedRecord, len(sx.shards))
-	var flat []strutil.Record
-	for w, sh := range sx.shards {
-		liveAll[w], prepAll[w] = sh.liveLocked()
-		flat = append(flat, liveAll[w]...)
-	}
-	order := sx.joiner.BuildOrder(flat)
-	order.Finalize()
-	next := &orderGen{order: order, sel: pebble.NewSelector(sx.joiner.gen, order, sx.opts.Theta), id: g.id + 1}
+	live, prep, flat := sx.liveLocked()
+	order := next(flat)
+	ng := &orderGen{order: order, sel: pebble.NewSelector(sx.joiner.gen, order, sx.opts.Theta), id: g.id + 1}
 	parallelFor(len(sx.shards), len(sx.shards), func(w int) {
-		sx.shards[w].refreezeLocked(order, next.id, liveAll[w], prepAll[w])
+		sx.shards[w].refreezeLocked(order, ng.id, live[w], prep[w])
 	})
-	sx.gen.Store(next)
-	// One re-anchor for the whole re-finalize: the planner is shared, so
-	// per-shard calls inside the parallelFor would decay its corrections N
-	// times for one corpus event.
+	sx.gen.Store(ng)
+	// One re-anchor per swap: the planner is shared, so per-shard calls
+	// would decay its corrections N times for one corpus event.
 	sx.planner.Reanchor()
-	// The pre-refreeze view has served its purpose; dropping it releases
-	// the superseded generation's bases for collection (readers that
-	// already hold it keep it alive only as long as they keep it).
+	// Dropping the cached view releases the superseded generation's bases
+	// for collection (readers that already hold it keep it alive only as
+	// long as they keep it).
 	sx.lastView.Store(nil)
-	sx.refreezes++
-	// The whole stop-the-world window — live scans, order freeze and every
-	// shard rebuild — is one writer stall; log it whole so the pause
-	// percentiles cannot understate the one corpus-sized pause the design
-	// admits.
-	sx.refreezePauses = appendPause(sx.refreezePauses, time.Since(start))
+	// The whole stop-the-world window is one writer stall; log it whole so
+	// the pause percentiles cannot understate the one corpus-sized pause
+	// the design admits.
+	sx.swapPauses = appendPause(sx.swapPauses, time.Since(start))
 }
 
-// Refreezes returns the number of global re-finalizes of the shared order.
-func (sx *ShardedIndex) Refreezes() int {
-	sx.refreezeMu.Lock()
-	defer sx.refreezeMu.Unlock()
-	return sx.refreezes
-}
-
-// Insert is InsertBatch (kept for signature parity with DynamicIndex).
-func (sx *ShardedIndex) Insert(raw []string) []int { return sx.InsertBatch(raw) }
+// Refreezes returns the number of order generation swaps so far.
+func (sx *ShardedIndex) Refreezes() int { return sx.gen.Load().id }
 
 // Remove tombstones the record with the given stable ID on its shard,
 // reporting whether it was present and live.
 func (sx *ShardedIndex) Remove(id int) bool {
-	return sx.shards[shardOf(id, len(sx.shards))].Remove(id)
+	return sx.shards[shardOf(id, len(sx.shards))].RemoveBatch([]int{id})[0]
 }
 
 // RemoveBatch tombstones every given stable ID, reporting per ID whether it
@@ -345,9 +346,9 @@ func (sx *ShardedIndex) runShards(ws []int, fn func(w int)) {
 // writes on disjoint shards. What IS guaranteed is order-generation
 // consistency: all N views belong to one generation of the shared order,
 // so a fan-out query never mixes signatures of one order with posting
-// lists of another. While a global re-finalize is publishing the next
-// generation, Snapshot serves the cached pre-refreeze view — exact as of
-// the moment every writer stalled — so readers never block on the
+// lists of another. While a generation swap is publishing the next
+// generation, Snapshot serves the cached pre-swap view — exact as of the
+// moment every writer stalled — so readers never block on the
 // stop-the-world rebuild.
 func (sx *ShardedIndex) Snapshot() *ShardedView {
 	for {
@@ -356,7 +357,7 @@ func (sx *ShardedIndex) Snapshot() *ShardedView {
 		consistent := true
 		for w, sh := range sx.shards {
 			views[w] = sh.Snapshot()
-			if g != nil && views[w].gen != g.id {
+			if views[w].gen != g.id {
 				consistent = false
 				break
 			}
@@ -365,56 +366,53 @@ func (sx *ShardedIndex) Snapshot() *ShardedView {
 			return newShardedView(sx, g, views)
 		}
 		if sx.gen.Load() != g {
-			// The re-finalize completed between loading g and reading the
-			// shard views; retry against the new generation.
+			// The swap completed between loading g and reading the shard
+			// views; retry against the new generation.
 			continue
 		}
-		// A re-finalize is mid-flight: serve the pre-refreeze snapshot it
-		// cached under all writer locks. (nil only before the first
-		// re-finalize, when every view is still generation-consistent, so
-		// this branch cannot be reached then — the barrier is a safety net.)
+		// A swap is mid-flight: serve the pre-swap snapshot it cached under
+		// all writer locks. (The cache is published before the first shard
+		// changes generation, so this is a safety net.)
 		if sv := sx.lastView.Load(); sv != nil {
 			return sv
 		}
-		sx.refreezeMu.Lock()
-		sx.refreezeMu.Unlock() //nolint:staticcheck // empty critical section: barrier only
+		sx.swapMu.Lock()
+		sx.swapMu.Unlock() //nolint:staticcheck // empty critical section: barrier only
 	}
 }
 
-// Stats aggregates the current per-shard snapshot statistics. Catalog,
-// segment, rebuild and insert counts are summed; the interned-key split and
-// the cache counters are global (shared order, shared cache) and reported
-// once; BuildTime is the slowest shard's build (shards build in parallel).
+// Stats aggregates the current per-shard snapshot statistics (see
+// ShardedView.Stats).
 func (sx *ShardedIndex) Stats() DynamicStats { return sx.Snapshot().Stats() }
 
-// RebuildPauses returns every writer stall so far: the per-shard rebuild
+// RebuildPauses returns every writer stall so far: the per-shard compaction
 // durations (shard-local stalls; with N shards the expected maximum is the
-// full-corpus rebuild pause divided by N) plus one entry per global
-// re-finalize covering its whole stop-the-world window, so the rare
-// corpus-sized pause shows up in the percentiles rather than hiding behind
-// its per-shard components.
+// full-corpus rebuild pause divided by N) plus one entry per generation
+// swap covering its whole stop-the-world window, so the rare corpus-sized
+// pause shows up in the percentiles rather than hiding behind its
+// per-shard components. Each history is capped at maxPauseLog entries.
 func (sx *ShardedIndex) RebuildPauses() []time.Duration {
 	var out []time.Duration
 	for _, sh := range sx.shards {
-		out = append(out, sh.RebuildPauses()...)
+		sh.mu.Lock()
+		out = append(out, sh.pauses...)
+		sh.mu.Unlock()
 	}
-	sx.refreezeMu.Lock()
-	out = append(out, sx.refreezePauses...)
-	sx.refreezeMu.Unlock()
+	sx.swapMu.Lock()
+	out = append(out, sx.swapPauses...)
+	sx.swapMu.Unlock()
 	return out
 }
 
 // ShardedView is one fan-out snapshot: per-shard immutable Views of a
-// single order generation, the statistics captured when the snapshot was
-// taken, and the lazily built flattened catalog the batch-probe pipeline
-// runs over. All methods are read-only and safe for unbounded concurrency.
+// single order generation, and the lazily built flattened catalog the
+// batch-probe pipeline runs over. It is the one read path of a dynamic
+// index, at every shard count. All methods are read-only and safe for
+// unbounded concurrency.
 type ShardedView struct {
 	sx    *ShardedIndex
-	gen   *orderGen // the views' shared-order generation; nil for one legacy shard
+	gen   *orderGen // the views' shared-order generation
 	views []*View
-
-	statsOnce sync.Once
-	stats     DynamicStats
 
 	once sync.Once
 	flat struct {
@@ -427,56 +425,59 @@ type ShardedView struct {
 
 // newShardedView assembles a generation-consistent snapshot. Construction
 // is deliberately trivial — Snapshot sits on the per-query serving path, so
-// the stats aggregation (which touches the shared cache mutex) is deferred
-// to the first Stats call.
+// the stats aggregation (which touches the shared cache mutex) waits for a
+// Stats call.
 func newShardedView(sx *ShardedIndex, g *orderGen, views []*View) *ShardedView {
 	return &ShardedView{sx: sx, gen: g, views: views}
 }
 
-// Stats aggregates the snapshot's per-shard statistics, computed once on
-// first call and immutable afterwards (the per-shard components were fixed
-// when the snapshot was taken; the global key split and cache counters are
-// read on that first call). Catalog, segment, rebuild and insert counts
-// are summed; the interned-key split and cache counters are global (shared
-// order, shared cache) and reported once; BuildTime is the slowest shard's
-// build (shards build in parallel).
+// Stats aggregates the snapshot's per-shard statistics. Catalog, segment,
+// insert and posting-layout counts are those fixed when the snapshot was
+// taken, summed over the shards; Rebuilds adds the generation swaps to the
+// shard compactions; BuildTime is the slowest shard's build (shards build
+// in parallel). The interned-key split, the probe and verify tallies and
+// the planner and cache counters are live index-lifetime counters, read
+// fresh on every call so successive calls observe queries served after the
+// snapshot was taken.
 func (sv *ShardedView) Stats() DynamicStats {
-	sv.statsOnce.Do(func() {
-		st := sv.views[0].Stats()
-		st.Shards = len(sv.views)
-		for _, v := range sv.views[1:] {
-			vs := v.Stats()
-			st.Records += vs.Records
-			st.Live += vs.Live
-			st.Dead += vs.Dead
-			st.Segments += vs.Segments
-			st.Rebuilds += vs.Rebuilds
-			st.Inserts += vs.Inserts
-			st.DenseKeys += vs.DenseKeys
-			st.SparseKeys += vs.SparseKeys
-			st.ProbePostings += vs.ProbePostings
-			st.ProbeBitsetTokens += vs.ProbeBitsetTokens
-			st.ProbeSliceTokens += vs.ProbeSliceTokens
-			st.VerifiedCandidates += vs.VerifiedCandidates
-			st.PrunedByBound += vs.PrunedByBound
-			st.MemoHits += vs.MemoHits
-			if vs.BuildTime > st.BuildTime {
-				st.BuildTime = vs.BuildTime
-			}
-		}
-		if sv.gen != nil {
-			// The order is shared, so the key split is global. (A single
-			// legacy shard owns — and on rebuild replaces — its own order,
-			// so its published stats are the authoritative ones.)
-			st.FrozenKeys = sv.gen.order.FrozenKeys()
-			st.DynamicKeys = sv.gen.order.DynamicCount()
-		}
-		if sv.sx.cache != nil {
-			st.CacheHits, st.CacheMisses = sv.sx.cache.Stats()
-		}
-		sv.stats = st
-	})
-	return sv.stats
+	st := DynamicStats{
+		Shards:      len(sv.views),
+		Rebuilds:    sv.gen.id,
+		Theta:       sv.sx.opts.Theta,
+		Tau:         sv.sx.tau,
+		FrozenKeys:  sv.gen.order.FrozenKeys(),
+		DynamicKeys: sv.gen.order.DynamicCount(),
+	}
+	for _, v := range sv.views {
+		vs := &v.stats
+		st.Records += vs.Records
+		st.Live += vs.Live
+		st.Dead += vs.Dead
+		st.Segments += vs.Segments
+		st.Rebuilds += vs.Rebuilds
+		st.Inserts += vs.Inserts
+		st.DenseKeys += vs.DenseKeys
+		st.SparseKeys += vs.SparseKeys
+		st.BuildTime = max(st.BuildTime, vs.BuildTime)
+		st.ProbePostings += v.dx.probePostings.Load()
+		st.ProbeBitsetTokens += v.dx.probeBitsetTokens.Load()
+		st.ProbeSliceTokens += v.dx.probeSliceTokens.Load()
+		st.VerifiedCandidates += v.dx.verifyVerified.Load()
+		st.PrunedByBound += v.dx.verifyPruned.Load()
+		st.MemoHits += v.dx.verifyMemoHits.Load()
+	}
+	if sv.sx.cache != nil {
+		st.CacheHits, st.CacheMisses = sv.sx.cache.Stats()
+	}
+	if pl := sv.sx.planner; pl != nil {
+		c := pl.Counters()
+		st.SuggestedTau = c.SuggestedTau
+		st.Plans = c.Plans
+		st.PlanFallbacks = c.Fallbacks
+		st.PlanReanchors = c.Reanchors
+		st.PlanDecisions = c.Decisions
+	}
+	return st
 }
 
 // Record returns the record with the given stable ID, if it is live in this
@@ -537,9 +538,6 @@ func (sv *ShardedView) ProbeRecordCtx(ctx context.Context, tokens []string, qo Q
 	if len(tokens) == 0 {
 		return nil, ctx.Err()
 	}
-	if len(sv.views) == 1 {
-		return sv.views[0].ProbeRecordCtx(ctx, tokens, qo)
-	}
 	start := time.Now()
 	d := sv.planRecord(tokens, qo)
 	lp := &lazyPrepared{calc: sv.sx.joiner.calcFor(sv.sx.opts), tokens: tokens}
@@ -582,9 +580,14 @@ func (sv *ShardedView) planRecord(tokens []string, qo QueryOpts) planner.Decisio
 	return pl.Plan(sv.gen.sel, sv.gen.sel.Prepare(tokens), sv.listLen, sv.totalRecords())
 }
 
-// planBatch resolves one configuration for a whole probe batch (see
-// View.planBatch; the sample is prepared under the shared generation's
-// selector).
+// planBatchSample bounds the prepared-probe sample a batch plan evaluates:
+// the plan must stay far cheaper than the batch it steers.
+const planBatchSample = 8
+
+// planBatch resolves one configuration for a whole probe batch from a
+// strided sample of the probe records, prepared under the generation's
+// selector (batch paths select their signatures after the decision, in the
+// shared signature pass).
 func (sv *ShardedView) planBatch(records []strutil.Record) planner.Decision {
 	pl := sv.sx.planner
 	if pl == nil || len(records) == 0 {
@@ -638,9 +641,6 @@ func (sv *ShardedView) QueryTopKCtx(ctx context.Context, tokens []string, k int,
 	if k <= 0 || len(tokens) == 0 {
 		return nil, ctx.Err()
 	}
-	if len(sv.views) == 1 {
-		return sv.views[0].QueryTopKCtx(ctx, tokens, k, qo)
-	}
 	start := time.Now()
 	d := sv.planRecord(tokens, qo)
 	lp := &lazyPrepared{calc: sv.sx.joiner.calcFor(sv.sx.opts), tokens: tokens}
@@ -678,9 +678,6 @@ func (sv *ShardedView) QueryTopKCtx(ctx context.Context, tokens []string, k int,
 // the stage durations are wall-clock across the whole fan-out, not per-shard
 // CPU sums.
 func (sv *ShardedView) Probe(records []strutil.Record) ([]Pair, Stats) {
-	if len(sv.views) == 1 {
-		return sv.views[0].Probe(records)
-	}
 	start := time.Now()
 	d := sv.planBatch(records)
 	tgt, shardCands := sv.probeTarget(d.Tau)
@@ -703,9 +700,6 @@ func (sv *ShardedView) Probe(records []strutil.Record) ([]Pair, Stats) {
 // candidate fan-out and every verification worker before surfacing as one
 // final error.
 func (sv *ShardedView) ProbeSeq(ctx context.Context, records []strutil.Record) iter.Seq2[Pair, error] {
-	if len(sv.views) == 1 {
-		return sv.views[0].ProbeSeq(ctx, records)
-	}
 	return pairSeq(ctx, func(ctx context.Context, emit func(Pair) bool) error {
 		start := time.Now()
 		d := sv.planBatch(records)
@@ -737,27 +731,33 @@ func (sv *ShardedView) probeTarget(tau int) (probeTarget, func() []int) {
 	}, shardCands
 }
 
-// initFlat concatenates the per-shard catalogs into one position space for
-// the batch-probe pipeline. Views are immutable, so this is done once per
+// initFlat lays the per-shard catalogs out in one position space for the
+// batch-probe pipeline: a lone shard's slices are aliased, several shards'
+// are concatenated. Views are immutable, so this is done once per
 // ShardedView and shared by every Probe on it.
 func (sv *ShardedView) initFlat() {
 	sv.once.Do(func() {
+		v0 := sv.views[0]
+		sv.flat.records, sv.flat.prepared, sv.flat.avgSig = v0.records, v0.prepared, v0.avgSig
+		sv.flat.offsets = make([]int, len(sv.views))
+		if len(sv.views) < 2 {
+			return
+		}
 		total, live := 0, 0
 		var sigMass float64
 		for _, v := range sv.views {
 			total += len(v.records)
-			st := v.Stats()
-			live += st.Live
-			sigMass += v.avgSig * float64(st.Live)
+			live += v.stats.Live
+			sigMass += v.avgSig * float64(v.stats.Live)
 		}
 		sv.flat.records = make([]strutil.Record, 0, total)
 		sv.flat.prepared = make([]*core.PreparedRecord, 0, total)
-		sv.flat.offsets = make([]int, len(sv.views))
 		for w, v := range sv.views {
 			sv.flat.offsets[w] = len(sv.flat.records)
 			sv.flat.records = append(sv.flat.records, v.records...)
 			sv.flat.prepared = append(sv.flat.prepared, v.prepared...)
 		}
+		sv.flat.avgSig = 0
 		if live > 0 {
 			sv.flat.avgSig = sigMass / float64(live)
 		}

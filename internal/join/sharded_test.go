@@ -12,7 +12,7 @@ import (
 )
 
 // shardCounts are the partitionings every invariance check runs under:
-// the degenerate router (1, the legacy single index), an even split (2) and
+// the one-shard router (1), an even split (2) and
 // a prime count that exercises uneven shard sizes (7 shards over ≲50
 // records leaves some shards nearly empty).
 var shardCounts = []int{1, 2, 7}
@@ -129,10 +129,10 @@ func TestShardedIndexShardCountInvariance(t *testing.T) {
 				}
 				check(step + 1)
 			}
-			// The partitioned variants must actually have exercised
-			// per-shard rebuilds, or the test proves nothing about them.
+			// Every variant must actually have exercised per-shard
+			// rebuilds, or the test proves nothing about them.
 			for i, sx := range indexes {
-				if shardCounts[i] > 1 && sx.Stats().Rebuilds == 0 {
+				if sx.Stats().Rebuilds == 0 {
 					t.Fatalf("%v θ=%v: shards=%d never rebuilt under the mutation script",
 						method, theta, shardCounts[i])
 				}
@@ -318,14 +318,20 @@ func TestShardedIndexConcurrentMutateQuery(t *testing.T) {
 }
 
 // TestShardedIndexGlobalRefreeze drives sustained novel-key inserts until
-// the shared order's dynamic region outgrows its frozen prefix and the
-// router re-finalizes globally: the dynamic region must reset, stable IDs
-// must survive, and results must still match BruteForce on a fresh
-// generation-consistent snapshot.
+// the shared order's dynamic region reaches RebuildFraction of its frozen
+// prefix and the router swaps in a fresh order: the dynamic region must
+// reset, stable IDs must survive, and results must still match BruteForce on
+// a fresh generation-consistent snapshot — at one shard as at three.
 func TestShardedIndexGlobalRefreeze(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { testGlobalRefreeze(t, shards) })
+	}
+}
+
+func testGlobalRefreeze(t *testing.T, shards int) {
 	rng := rand.New(rand.NewSource(59))
 	j := NewJoiner(propertyContexts()["full"])
-	sx := j.BuildShardedIndex(propertyCorpus(12, rng), 3, Options{Theta: 0.7, Tau: 2, Method: pebble.AUDP}, DynamicOptions{})
+	sx := j.BuildShardedIndex(propertyCorpus(12, rng), shards, Options{Theta: 0.7, Tau: 2, Method: pebble.AUDP}, DynamicOptions{})
 	probe := propertyCorpus(10, rng)
 	keep := sx.InsertBatch([]string{"coffee shop latte helsinki"})[0]
 	var novel []int
@@ -336,7 +342,7 @@ func TestShardedIndexGlobalRefreeze(t *testing.T) {
 		t.Fatal("global refreeze never fired under sustained novel-key inserts")
 	}
 	st := sx.Stats()
-	if st.DynamicKeys >= st.FrozenKeys {
+	if float64(st.DynamicKeys) >= defaultRebuildFraction*float64(st.FrozenKeys) {
 		t.Fatalf("dynamic region did not reset at the refreeze: %+v", st)
 	}
 	v := sx.Snapshot()
@@ -356,5 +362,36 @@ func TestShardedIndexGlobalRefreeze(t *testing.T) {
 	want = j.BruteForce(v.Live(), probe, 0.7, nil)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("post-refreeze mutation Probe %d pairs, oracle %d pairs", len(got), len(want))
+	}
+}
+
+// TestShardCompactionKeepsOrder pins the other half of order ownership: a
+// MaxSegments-triggered rebuild of a 1-shard index only compacts — segments
+// merged under the router's current order — so the frozen prefix and the
+// generation stay as they were, and answers still match BruteForce.
+func TestShardCompactionKeepsOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	j := NewJoiner(propertyContexts()["full"])
+	corpus := propertyCorpus(20, rng)
+	probe := propertyCorpus(10, rng)
+	sx := j.BuildShardedIndex(corpus, 1, Options{Theta: 0.7, Tau: 2, Method: pebble.AUDP}, DynamicOptions{MaxSegments: 2})
+	before := sx.Stats()
+	// Re-inserting catalog strings adds no new key, so only the segment
+	// chain can trigger the rebuild.
+	for b := 0; b < 3; b++ {
+		sx.InsertBatch([]string{corpus[2*b].Raw, corpus[2*b+1].Raw})
+	}
+	after := sx.Stats()
+	if after.Rebuilds == 0 || after.Segments != 0 {
+		t.Fatalf("MaxSegments never compacted the shard: %+v", after)
+	}
+	if after.FrozenKeys != before.FrozenKeys || after.DynamicKeys != 0 || sx.Refreezes() != 0 {
+		t.Fatalf("compaction changed the order: frozen %d -> %d, dynamic %d, generation %d",
+			before.FrozenKeys, after.FrozenKeys, after.DynamicKeys, sx.Refreezes())
+	}
+	v := sx.Snapshot()
+	got, _ := v.Probe(probe)
+	if want := j.BruteForce(v.Live(), probe, 0.7, nil); !reflect.DeepEqual(got, want) {
+		t.Fatalf("post-compaction Probe %d pairs, oracle %d pairs", len(got), len(want))
 	}
 }

@@ -142,20 +142,16 @@ func TestShardedProbeSeqMatchesProbe(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("shards=%d: ProbeSeq %v != Probe %v", shards, got, want)
 		}
-		if shards >= 2 {
-			if len(wantStats.ShardCandidates) != shards {
-				t.Fatalf("shards=%d: ShardCandidates has %d entries", shards, len(wantStats.ShardCandidates))
-			}
-			sum := 0
-			for _, c := range wantStats.ShardCandidates {
-				sum += c
-			}
-			if sum != wantStats.Candidates {
-				t.Errorf("shards=%d: ShardCandidates sum %d != Candidates %d",
-					shards, sum, wantStats.Candidates)
-			}
-		} else if wantStats.ShardCandidates != nil {
-			t.Errorf("shards=1: ShardCandidates should be nil, got %v", wantStats.ShardCandidates)
+		if len(wantStats.ShardCandidates) != shards {
+			t.Fatalf("shards=%d: ShardCandidates has %d entries", shards, len(wantStats.ShardCandidates))
+		}
+		sum := 0
+		for _, c := range wantStats.ShardCandidates {
+			sum += c
+		}
+		if sum != wantStats.Candidates {
+			t.Errorf("shards=%d: ShardCandidates sum %d != Candidates %d",
+				shards, sum, wantStats.Candidates)
 		}
 	}
 }
@@ -364,18 +360,14 @@ func TestEmptyQueryReturnsEarly(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	corpus := propertyCorpus(25, rng)
 	j := NewJoiner(ctx)
-	ix := j.BuildIndex(corpus, Options{Theta: 0.7, Tau: 1, Method: pebble.AUDP})
-	if got := ix.ProbeRecord(nil); got != nil {
-		t.Errorf("Index.ProbeRecord(nil) = %v, want nil", got)
-	}
-	if got := ix.ProbeRecord(strutil.Tokenize("   ")); got != nil {
-		t.Errorf("Index.ProbeRecord(whitespace) = %v, want nil", got)
-	}
 	for _, shards := range shardCounts {
 		sx := j.BuildShardedIndex(corpus, shards, Options{Theta: 0.7, Tau: 1, Method: pebble.AUDP}, DynamicOptions{})
 		sv := sx.Snapshot()
 		if got := sv.ProbeRecord(nil); got != nil {
 			t.Errorf("shards=%d: ProbeRecord(nil) = %v, want nil", shards, got)
+		}
+		if got := sv.ProbeRecord(strutil.Tokenize("   ")); got != nil {
+			t.Errorf("shards=%d: ProbeRecord(whitespace) = %v, want nil", shards, got)
 		}
 		if got := sv.QueryTopK(strutil.Tokenize(""), 5); got != nil {
 			t.Errorf("shards=%d: QueryTopK(empty) = %v, want nil", shards, got)

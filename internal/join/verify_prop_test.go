@@ -49,13 +49,8 @@ func pairsEqual(a, b []Pair) bool {
 // topKViews returns the two snapshots to compare for one scenario: the index
 // with optimised verification and the one running the plain loop.
 type viewPair struct {
-	name string
-	opt  interface {
-		QueryTopKCtx(context.Context, []string, int, QueryOpts) ([]QueryMatch, error)
-	}
-	plain interface {
-		QueryTopKCtx(context.Context, []string, int, QueryOpts) ([]QueryMatch, error)
-	}
+	name       string
+	opt, plain *ShardedView
 }
 
 func TestTopKPruningMatchesPlainVerify(t *testing.T) {
@@ -66,9 +61,9 @@ func TestTopKPruningMatchesPlainVerify(t *testing.T) {
 	for _, opts := range propConfigs() {
 		base := fmt.Sprintf("%v/θ=%v", opts.Method, opts.Theta)
 
-		// Static and post-mutation snapshots of a dynamic index.
-		od := j.BuildDynamicIndex(recs, opts, DynamicOptions{})
-		pd := j.BuildDynamicIndex(recs, plainVerify(opts), DynamicOptions{})
+		// Static and post-mutation snapshots of a 1-shard index.
+		od := j.BuildShardedIndex(recs, 1, opts, DynamicOptions{})
+		pd := j.BuildShardedIndex(recs, 1, plainVerify(opts), DynamicOptions{})
 		scenarios := []viewPair{{base + "/static", od.Snapshot(), pd.Snapshot()}}
 		mutate(od, 303)
 		mutate(pd, 303)
@@ -132,22 +127,24 @@ func TestProbeAndJoinMatchPlainVerify(t *testing.T) {
 			t.Fatalf("%s: Join candidates diverged: %d vs %d", name, gs.Candidates, ws.Candidates)
 		}
 
-		// Dynamic snapshot: batch Probe and single-record probes.
-		od := j.BuildDynamicIndex(recs, opts, DynamicOptions{})
-		pd := j.BuildDynamicIndex(recs, plainVerify(opts), DynamicOptions{})
-		mutate(od, 808)
-		mutate(pd, 808)
-		ov, pv := od.Snapshot(), pd.Snapshot()
-		gp, _ = ov.Probe(probe)
-		wp, _ = pv.Probe(probe)
-		if !pairsEqual(gp, wp) {
-			t.Fatalf("%s: Probe pairs diverged: %d vs %d", name, len(gp), len(wp))
-		}
-		for qi, q := range queries {
-			got := ov.ProbeRecord(q)
-			want := pv.ProbeRecord(q)
-			if !matchesEqual(got, want) {
-				t.Fatalf("%s q#%d: ProbeRecord diverged:\n got %v\nwant %v", name, qi, got, want)
+		// Dynamic snapshots: batch Probe and single-record probes.
+		for _, shards := range []int{1, 3} {
+			od := j.BuildShardedIndex(recs, shards, opts, DynamicOptions{})
+			pd := j.BuildShardedIndex(recs, shards, plainVerify(opts), DynamicOptions{})
+			mutate(od, 808)
+			mutate(pd, 808)
+			ov, pv := od.Snapshot(), pd.Snapshot()
+			gp, _ = ov.Probe(probe)
+			wp, _ = pv.Probe(probe)
+			if !pairsEqual(gp, wp) {
+				t.Fatalf("%s shards=%d: Probe pairs diverged: %d vs %d", name, shards, len(gp), len(wp))
+			}
+			for qi, q := range queries {
+				got := ov.ProbeRecord(q)
+				want := pv.ProbeRecord(q)
+				if !matchesEqual(got, want) {
+					t.Fatalf("%s shards=%d q#%d: ProbeRecord diverged:\n got %v\nwant %v", name, shards, qi, got, want)
+				}
 			}
 		}
 	}
@@ -165,33 +162,35 @@ func TestMemoOnlyToggleEquivalence(t *testing.T) {
 		name := fmt.Sprintf("%v/θ=%v", opts.Method, opts.Theta)
 		noMemo := opts
 		noMemo.NoVerifyMemo = true
-		ov := j.BuildDynamicIndex(recs, opts, DynamicOptions{}).Snapshot()
-		nv := j.BuildDynamicIndex(recs, noMemo, DynamicOptions{}).Snapshot()
-		for qi, q := range queries {
-			got, err := ov.QueryTopKCtx(ctx, q, 5, QueryOpts{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := nv.QueryTopKCtx(ctx, q, 5, QueryOpts{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !matchesEqual(got, want) {
-				t.Fatalf("%s q#%d: memo toggle changed results:\n got %v\nwant %v", name, qi, got, want)
+		for _, shards := range []int{1, 3} {
+			ov := j.BuildShardedIndex(recs, shards, opts, DynamicOptions{}).Snapshot()
+			nv := j.BuildShardedIndex(recs, shards, noMemo, DynamicOptions{}).Snapshot()
+			for qi, q := range queries {
+				got, err := ov.QueryTopKCtx(ctx, q, 5, QueryOpts{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := nv.QueryTopKCtx(ctx, q, 5, QueryOpts{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !matchesEqual(got, want) {
+					t.Fatalf("%s shards=%d q#%d: memo toggle changed results:\n got %v\nwant %v", name, shards, qi, got, want)
+				}
 			}
 		}
 	}
 }
 
 // TestPrunedQueriesUnderMutation hammers pruned top-k queries (sequential
-// and parallel) against a dynamic index while writers insert and remove
+// and parallel) against 1- and 3-shard indexes while writers insert and remove
 // records — the -race run of the suite checks the floor tracker, the memo
 // and the pooled scratches for unsynchronised sharing.
 func TestPrunedQueriesUnderMutation(t *testing.T) {
 	j := NewJoiner(paperContext())
 	recs := propCorpus(400, 1111)
 	queries := propQueries(16, 1212)
-	dx := j.BuildDynamicIndex(recs, Options{Theta: 0.75, Tau: 2}, DynamicOptions{MaxSegments: 3})
+	dx := j.BuildShardedIndex(recs, 1, Options{Theta: 0.75, Tau: 2}, DynamicOptions{MaxSegments: 3})
 	sx := j.BuildShardedIndex(recs, 3, Options{Theta: 0.75, Tau: 2}, DynamicOptions{})
 
 	var wg sync.WaitGroup
@@ -229,8 +228,8 @@ func TestPrunedQueriesUnderMutation(t *testing.T) {
 		for i := range batch {
 			batch[i] = fmt.Sprintf("tok%02d tok%02d hot%d_%d", rng.Intn(60), rng.Intn(60), b, i)
 		}
-		ids := dx.Insert(batch)
-		sx.Insert(batch)
+		ids := dx.InsertBatch(batch)
+		sx.InsertBatch(batch)
 		for _, id := range ids[:5] {
 			dx.Remove(id)
 		}
